@@ -1,7 +1,8 @@
 """Exact Tutte/Ehrhart toolkit for integer zonotopes.
 
 Computes the multiplicity-weighted Tutte polynomial of a list of integer
-vectors by exact subset enumeration, derives the Ehrhart polynomial,
+vectors exactly, by dynamic programming over the lattices its sublists
+span (keyed by Hermite normal form), derives the Ehrhart polynomial,
 lattice-point counts, volume and interior counts of the zonotope the list
 generates, and cross-checks every identity against an independent
 brute-force geometric oracle.

@@ -44,12 +44,7 @@ from .errors import (
     ListTooLarge,
 )
 from .exact_linalg import VectorList
-from .geometry_oracle import (
-    MAX_BOX_POINTS,
-    MAX_ELIM_VARS,
-    CountMode,
-    brute_force_count,
-)
+from .geometry_oracle import MAX_BOX_POINTS, MAX_ELIM_VARS, closed_open_counts
 from .polynomials import (
     UniPoly,
     bipoly_from_json,
@@ -209,7 +204,8 @@ def _scalar_report(X: VectorList, args, command: str) -> dict:
         q = args.q
         poly = summary.ehrhart if command == "count" else summary.interior
         exact = eval_uni(poly, q)
-        assert exact.denominator == 1
+        if exact.denominator != 1:
+            raise AssertionError(f"{command} polynomial at q={q} gave {exact}")
         value = int(exact)
         if command == "count":
             method = "q^n M_X(1+1/q, 1); at q=1 this is M_X(2,1)"
@@ -248,7 +244,7 @@ def _cmd_verify(X: VectorList, args) -> dict:
     )
 
     for q in q_list:
-        lhs, rhs = dilation_identity_sides(X, q, max_list_size=args.max_subsets)
+        lhs, rhs = dilation_identity_sides(X, q, max_list_size=args.max_subsets, base=M)
         record(f"dilation_identity_q{q}", format_bipoly(lhs), format_bipoly(rhs))
 
     # interior specialization: alternating-sign reversal of the shifted
@@ -274,14 +270,19 @@ def _cmd_verify(X: VectorList, args) -> dict:
     record("volume_identity", str(E_theorem.coefficient(n)), str(volume))
 
     if args.oracle:
-        oracle_kwargs = {"max_box": args.max_box, "max_elim_vars": args.max_elim_vars}
+        # one box scan per distinct q gives both the closed and the open
+        # count; q = 1 also serves the corollaries
+        counts: dict[int, tuple[int, int]] = {}
+        for q in [*q_list, 1]:
+            if q not in counts:
+                counts[q] = closed_open_counts(
+                    X, q, max_box=args.max_box, max_elim_vars=args.max_elim_vars
+                )
         for q in q_list:
-            closed = brute_force_count(X, q, CountMode.CLOSED, **oracle_kwargs)
-            opened = brute_force_count(X, q, CountMode.OPEN, **oracle_kwargs)
+            closed, opened = counts[q]
             record(f"closed_count_q{q}", str(int(eval_uni(E_theorem, q))), str(closed))
             record(f"interior_count_q{q}", str(int(eval_uni(I_poly, q))), str(opened))
-        closed1 = brute_force_count(X, 1, CountMode.CLOSED, **oracle_kwargs)
-        opened1 = brute_force_count(X, 1, CountMode.OPEN, **oracle_kwargs)
+        closed1, opened1 = counts[1]
         record("corollary_points", str(points), str(closed1))
         record("corollary_interior_points", str(interior_points), str(opened1))
 
@@ -367,7 +368,7 @@ def _add_common(parser: argparse.ArgumentParser, *, with_q: bool = False) -> Non
         type=int,
         default=MAX_LIST_SIZE,
         metavar="N",
-        help=f"refuse lists longer than N vectors, i.e. 2^N sublists (default {MAX_LIST_SIZE})",
+        help=f"refuse lists longer than N vectors (default {MAX_LIST_SIZE})",
     )
     if with_q:
         parser.add_argument("--q", type=int, default=1, help="dilation factor (default 1)")
@@ -433,9 +434,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value is a comma-separated list that may start with "-".
+_LIST_OPTIONS = ("--vectors", "--q-list")
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Rewrite "--vectors -3,0;1,1" as "--vectors=-3,0;1,1".
+
+    argparse reads a separate value that starts with "-" and is not a
+    plain negative number as an option, so a list whose first entry is
+    negative would be refused with "expected one argument".
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if token in _LIST_OPTIONS and value[:1] == "-" and value[1:2].isdigit():
+            out.append(f"{token}={value}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
 
     if getattr(args, "q", 1) < 1:
         print(f"error: q must be >= 1, got {args.q}", file=sys.stderr)

@@ -7,6 +7,10 @@ vectors in Z^n: the index of the integer span of A inside the sublattice
 of Z^n contained in the real span of A.  It equals the product of the
 invariant factors of the matrix whose columns are A, and, when A has full
 rank n, also the gcd of the absolute n x n minors of that matrix.
+
+A lattice is represented by its canonical row Hermite normal form
+(hnf_insert), so two lists span the same lattice exactly when their keys
+are equal; lattice_multiplicity reads m(A) off that key.
 """
 
 from __future__ import annotations
@@ -147,10 +151,14 @@ def determinant(A: IntMatrix) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     if A.rows != A.cols:
         raise ValueError("determinant requires a square matrix")
-    n = A.rows
+    return _bareiss(A.to_rows())
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of the square matrix m (list of rows, modified in place)."""
+    n = len(m)
     if n == 0:
         return 1
-    m = A.to_rows()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -258,4 +266,93 @@ def gcd_maximal_minors(A: VectorList) -> int:
     for idxs in combinations(range(len(A)), n):
         sub = IntMatrix.from_columns([A.vectors[i] for i in idxs], n)
         g = math.gcd(g, abs(determinant(sub)))
+    return g
+
+
+Lattice = tuple[tuple[int, ...], ...]
+
+
+def _leading(row: Sequence[int]) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def hnf_insert(basis: Lattice, v: Sequence[int]) -> Lattice:
+    """Canonical row Hermite normal form of the lattice spanned by basis and v.
+
+    basis must itself be canonical (the empty tuple is the zero lattice):
+    rows in echelon form with strictly increasing leading columns, every
+    leading entry (pivot) positive, and every entry above a pivot in
+    [0, pivot).  That form is unique for a lattice, so the result is a
+    key that depends only on the lattice spanned, not on the generators.
+    """
+    n = len(v)
+    rows = list(basis)
+    # at full rank the pivots sit on the diagonal
+    pivots = list(range(n)) if len(rows) == n else [_leading(row) for row in rows]
+    v = list(v)
+    changed = False
+    k = 0
+    for col in range(n):
+        if not v[col]:
+            continue
+        while k < len(rows) and pivots[k] < col:
+            k += 1
+        if k == len(rows) or pivots[k] > col:
+            rows.insert(k, v if v[col] > 0 else [-x for x in v])
+            pivots.insert(k, col)
+            changed = True
+            break
+        a = rows[k]
+        q = v[col] // a[col]
+        v = [x - q * y for x, y in zip(v, a)]
+        b = v[col]
+        if b:
+            # 0 < b < a[col]: replace (a, v) by the unimodular combination
+            # (s*a + t*v, a/g*v - b/g*a), whose pivots are g = gcd and 0
+            g, s, t = _xgcd(a[col], b)
+            ag, bg = a[col] // g, b // g
+            rows[k] = [s * x + t * y for x, y in zip(a, v)]
+            v = [ag * y - bg * x for x, y in zip(a, v)]
+            changed = True
+        k += 1
+    if not changed:
+        return basis
+    for k, p in enumerate(pivots):
+        row = rows[k]
+        for j in range(k):
+            q = rows[j][p] // row[p]
+            if q:
+                rows[j] = [x - q * y for x, y in zip(rows[j], row)]
+    return tuple(tuple(row) for row in rows)
+
+
+def lattice_multiplicity(basis: Lattice) -> int:
+    """Multiplicity of the lattice with canonical basis (see hnf_insert).
+
+    The index of the lattice in the integer points of its real span: the
+    gcd of the r x r minors of the r x n basis, which at rank n is the
+    product of the pivots.  The zero lattice gives 1.
+    """
+    r = len(basis)
+    if r == 0:
+        return 1
+    n = len(basis[0])
+    if r == n:
+        return math.prod(basis[i][i] for i in range(n))
+    g = 0
+    for cols in combinations(range(n), r):
+        g = math.gcd(g, _bareiss([[row[c] for c in cols] for row in basis]))
+        if g == 1:
+            break
     return g

@@ -1,4 +1,4 @@
-"""Subset-enumeration computation of Tutte-type polynomials of a vector list.
+"""Tutte-type polynomials of a vector list, by dynamic programming.
 
 For a list X of vectors spanning Z^n, the weighted polynomial is the sum
 over all 2^|X| sublists A of
@@ -10,18 +10,22 @@ classical (unweighted) variant replaces every m(A) by 1.  Both reduce to
 the same polynomial when X is unimodular, i.e. when every basis extracted
 from X has determinant +-1.
 
-Enumeration walks a binary counter over list indices with index 0 as the
-least significant bit, so intermediate traces are reproducible.
+A term depends on A only through |A| and the lattice A spans, which fixes
+r(A) and m(A).  So the sum is taken without visiting sublists: one pass
+over X keeps, for every lattice spanned by a sublist of the vectors seen
+so far, how many sublists of each size span it.  Each vector either
+leaves a sublist's lattice as it is (skipped) or extends it (added).
+Lattices are keyed by their canonical Hermite normal form, and m(L) is
+computed once per lattice at the end.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import exact_linalg
 from .errors import DimensionDeficient, ListTooLarge
-from .exact_linalg import IntMatrix, VectorList
+from .exact_linalg import Lattice, VectorList, hnf_insert, lattice_multiplicity
 from .polynomials import BiPoly, expand_shifted_basis
 
 MAX_LIST_SIZE = 24
@@ -55,27 +59,39 @@ def _check_input(X: VectorList, max_list_size: int) -> None:
         )
 
 
-def _sublist_profiles(X: VectorList):
-    """Yield (size, rank, multiplicity) for every sublist, in counter order."""
-    vectors = X.vectors
-    for mask in range(1 << len(vectors)):
-        columns = [vectors[b] for b in range(len(vectors)) if mask >> b & 1]
-        snf = exact_linalg.smith_normal_form(
-            IntMatrix.from_columns(columns, X.dim)
-        )
-        yield len(columns), snf.rank, math.prod(snf.invariant_factors)
-
-
 def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult:
     _check_input(X, max_list_size)
     n = X.dim
+    # counts[L] holds, for each size s, the number of sublists of size s
+    # spanning L, packed into bits [s*width, (s+1)*width) of one integer.
+    # A count is at most 2^|X| < 2^width, so fields never carry into each
+    # other, and adding a vector to every sublist is a shift by width.
+    width = len(X) + 1
+    counts: dict[Lattice, int] = {(): 1}
+    for v in X.vectors:
+        extended: dict[Lattice, int] = {}
+        for L, packed in counts.items():
+            extended[L] = extended.get(L, 0) + packed
+            grown = hnf_insert(L, v)
+            extended[grown] = extended.get(grown, 0) + (packed << width)
+        counts = extended
+
+    mask = (1 << width) - 1
     shifted: dict[tuple[int, int], int] = {}
     unimodular = True
-    for size, r, mult in _sublist_profiles(X):
-        if size == r == n and mult != 1:
+    for L, packed in counts.items():
+        r = len(L)
+        mult = lattice_multiplicity(L)
+        if mult != 1 and r == n and packed >> (n * width) & mask:
             unimodular = False
-        key = (n - r, size - r)
-        shifted[key] = shifted.get(key, 0) + (mult if weighted else 1)
+        size = 0
+        while packed:
+            c = packed & mask
+            if c:
+                key = (n - r, size - r)
+                shifted[key] = shifted.get(key, 0) + (mult * c if weighted else c)
+            packed >>= width
+            size += 1
     return TutteResult(
         polynomial=expand_shifted_basis(shifted),
         shifted_terms=shifted,
@@ -103,17 +119,24 @@ def dilate_list(X: VectorList, q: int) -> VectorList:
 
 
 def dilation_identity_sides(
-    X: VectorList, q: int, *, max_list_size: int = MAX_LIST_SIZE
+    X: VectorList,
+    q: int,
+    *,
+    max_list_size: int = MAX_LIST_SIZE,
+    base: TutteResult | None = None,
 ) -> tuple[BiPoly, BiPoly]:
     """Both sides of the dilation identity, computed independently.
 
     The left side is the weighted polynomial of qX from scratch; the right
     side rescales each shifted-basis coefficient of (x-1)^i in the
-    polynomial of X by q^(n-i).
+    polynomial of X by q^(n-i).  base, when given, must be
+    multiplicity_tutte(X); it saves recomputing the right side's source
+    when several q are checked.
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
-    base = multiplicity_tutte(X, max_list_size=max_list_size)
+    if base is None:
+        base = multiplicity_tutte(X, max_list_size=max_list_size)
     lhs = multiplicity_tutte(dilate_list(X, q), max_list_size=max_list_size).polynomial
     n = base.ambient_dim
     rhs = expand_shifted_basis(

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import zonotutte
 from zonotutte.cli import main
 
 WORKED_DOC = '{"dim": 2, "vectors": [[3, 0], [0, 2], [1, 1]]}'
@@ -61,6 +63,12 @@ class TestTutteCommand:
         monkeypatch.setattr(sys, "stdin", io.StringIO(WORKED_DOC))
         report = run_json(capsys, "tutte")
         assert report["results"]["monomial"]["terms"][0] == {"i": 2, "j": 0, "c": "1"}
+
+    def test_negative_first_entry_as_separate_argument(self, capsys):
+        joined = run_cli(capsys, "tutte", "--vectors=-3,0;1,1")
+        separate = run_cli(capsys, "tutte", "--vectors", "-3,0;1,1")
+        assert joined[0] == 0
+        assert separate == joined
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "tutte", "--vectors", "3,0;0,2;1,1")
@@ -150,6 +158,33 @@ class TestVerifyCommand:
         assert ehrhart == [{"i": 2, "c": "8"}, {"i": 1, "c": "5"}, {"i": 0, "c": "1"}]
 
 
+    def test_oracle_work_is_not_repeated(self, capsys, monkeypatch):
+        import zonotutte.cli as cli
+        import zonotutte.tutte_core as tutte_core
+
+        calls = {"tutte": 0, "oracle": []}
+        real_tutte, real_counts = tutte_core.multiplicity_tutte, cli.closed_open_counts
+
+        def counting_tutte(X, **kw):
+            calls["tutte"] += 1
+            return real_tutte(X, **kw)
+
+        def counting_counts(X, q, **kw):
+            calls["oracle"].append(q)
+            return real_counts(X, q, **kw)
+
+        monkeypatch.setattr(cli, "multiplicity_tutte", counting_tutte)
+        monkeypatch.setattr(tutte_core, "multiplicity_tutte", counting_tutte)
+        monkeypatch.setattr(cli, "closed_open_counts", counting_counts)
+        code, _, _ = run_cli(
+            capsys, "verify", "--vectors", "2,0;0,2;1,1", "--q-list", "2,3,2", "--oracle"
+        )
+        assert code == 0
+        # M_X once, then qX once per q; one box scan per distinct q, plus q=1
+        assert calls["tutte"] == 1 + 3
+        assert calls["oracle"] == [2, 3, 1]
+
+
 class TestVerifyFailurePath:
     def test_identity_failure_exits_1(self, capsys, monkeypatch):
         import zonotutte.cli as cli
@@ -220,13 +255,23 @@ class TestExitCodes:
         )
         assert code == 5
 
+    def test_negative_q_list(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "verify", "--q-list", "-1,2", "--vectors", "3,0;0,2;1,1"
+        )
+        assert code == 5
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the same package as the tests, installed or not
+        src = os.path.dirname(os.path.dirname(zonotutte.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "zonotutte", "volume", "--vectors", "3,0;0,2;1,1"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["value"] == "11"

@@ -14,6 +14,7 @@ from zonotutte import (
     rank,
     smith_normal_form,
 )
+from zonotutte.exact_linalg import hnf_insert, lattice_multiplicity
 
 
 def columns(vectors, dim):
@@ -200,3 +201,94 @@ class TestDeterminant:
         big = 10**30
         m = IntMatrix.from_rows([[big, 1], [1, big]])
         assert determinant(m) == big * big - 1
+
+
+def hnf_of(vectors):
+    basis = ()
+    for v in vectors:
+        basis = hnf_insert(basis, v)
+    return basis
+
+
+def random_generators(rng, n, bound):
+    k = rng.randint(0, n + 2)
+    return [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(k)]
+
+
+def change_generators(rng, vectors):
+    """Generators of the same lattice: elementary unimodular operations on
+    the list (add an integer multiple of one vector to another, negate,
+    swap), plus an integer combination appended."""
+    vecs = [list(v) for v in vectors]
+    for _ in range(3 * len(vecs)):
+        i, j = rng.randrange(len(vecs)), rng.randrange(len(vecs))
+        op = rng.randrange(3)
+        if op == 0 and i != j:
+            c = rng.randint(-3, 3)
+            vecs[i] = [a + c * b for a, b in zip(vecs[i], vecs[j])]
+        elif op == 1:
+            vecs[i] = [-a for a in vecs[i]]
+        else:
+            vecs[i], vecs[j] = vecs[j], vecs[i]
+    coeffs = [rng.randint(-2, 2) for _ in vecs]
+    vecs.append([sum(c * v[t] for c, v in zip(coeffs, vecs)) for t in range(len(vecs[0]))])
+    return [tuple(v) for v in vecs]
+
+
+class TestHermiteKernel:
+    BOUNDS = (1, 5, 1000, 10**20)
+
+    def corpus(self, seed, count=60):
+        rng = random.Random(seed)
+        for t in range(count):
+            n = rng.randint(1, 4)
+            yield rng, n, random_generators(rng, n, self.BOUNDS[t % 4])
+
+    def test_canonical_form(self):
+        for _, n, vecs in self.corpus(41):
+            basis = hnf_of(vecs)
+            assert len(basis) == rank(columns(vecs, n))
+            leading = [next(j for j, x in enumerate(row) if x) for row in basis]
+            assert leading == sorted(set(leading))
+            for k, (row, p) in enumerate(zip(basis, leading)):
+                assert row[p] > 0
+                for above in basis[:k]:
+                    assert 0 <= above[p] < row[p]
+
+    def test_key_ignores_order_and_choice_of_generators(self):
+        for rng, n, vecs in self.corpus(43):
+            if not vecs:
+                continue
+            key = hnf_of(vecs)
+            shuffled = vecs[:]
+            rng.shuffle(shuffled)
+            assert hnf_of(shuffled) == key
+            assert hnf_of(change_generators(rng, vecs)) == key
+            assert hnf_of(vecs + [(0,) * n] + vecs[:1]) == key
+
+    def test_key_distinguishes_lattices(self):
+        assert hnf_of([(2, 0), (0, 1)]) != hnf_of([(1, 0), (0, 1)])
+        assert hnf_of([(1, 1)]) != hnf_of([(1, -1)])
+        assert hnf_of([(3, 0), (0, 2), (1, 1)]) == ((1, 0), (0, 1))
+
+    def test_multiplicity_matches_smith_normal_forms(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        for _, n, vecs in self.corpus(47):
+            m = lattice_multiplicity(hnf_of(vecs))
+            assert m == multiplicity(VectorList(n, vecs))
+            if vecs:
+                matrix = sympy.Matrix(columns(vecs, n).to_rows())
+                factors = invariant_factors(matrix, domain=sympy.ZZ)
+                assert m == math.prod(abs(int(d)) for d in factors if d)
+
+    def test_multiplicity_at_full_rank_is_gcd_of_maximal_minors(self):
+        for _, n, vecs in self.corpus(53):
+            X = VectorList(n, vecs)
+            if rank(X.column_matrix()) == n:
+                assert lattice_multiplicity(hnf_of(vecs)) == gcd_maximal_minors(X)
+
+    def test_zero_lattice(self):
+        assert hnf_of([]) == hnf_of([(0, 0, 0)]) == ()
+        assert lattice_multiplicity(()) == 1

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zonotutte import (
     BiPoly,
@@ -12,9 +14,12 @@ from zonotutte import (
     dilate_list,
     dilation_identity_sides,
     eval_bi,
+    expand_shifted_basis,
     multiplicity_tutte,
+    rank,
 )
 from conftest import random_unimodular_list
+from tutte_reference import reference_tutte_sums
 
 WORKED = VectorList(2, [(3, 0), (0, 2), (1, 1)])
 UNIT_SQUARE = VectorList(2, [(1, 0), (0, 1)])
@@ -138,3 +143,53 @@ class TestDilationIdentity:
         for X in small_corpus[:10]:
             for q in (2, 3, 5):
                 assert check_dilation_identity(X, q)
+
+
+@st.composite
+def spanning_lists(draw, entries=st.integers(-10**3, 10**3), max_size=9):
+    """Full-rank lists in Z^n, n in 1..4, with zero and repeated vectors."""
+    n = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=max_size))
+    # index len(distinct) stands for the zero vector
+    picks = draw(st.lists(st.integers(0, len(distinct)), min_size=n, max_size=max_size))
+    vectors = [distinct[i] if i < len(distinct) else (0,) * n for i in picks]
+    X = VectorList(n, vectors)
+    assume(rank(X.column_matrix()) == n)
+    return X
+
+
+NEAR_1E20 = st.one_of(
+    st.integers(10**20 - 3, 10**20 + 3),
+    st.integers(-(10**20) - 3, -(10**20) + 3),
+    st.integers(-2, 2),
+)
+
+
+class TestAgainstSublistEnumeration:
+    """The lattice DP against the per-sublist Smith normal form reference."""
+
+    @staticmethod
+    def check(X):
+        weighted, classical, unimodular = reference_tutte_sums(X)
+        M = multiplicity_tutte(X)
+        T = classical_tutte(X)
+        assert M.shifted_terms == weighted
+        assert T.shifted_terms == classical
+        assert M.polynomial == expand_shifted_basis(weighted)
+        assert T.polynomial == expand_shifted_basis(classical)
+        assert M.is_unimodular == T.is_unimodular == unimodular
+
+    @settings(max_examples=100, deadline=None)
+    @given(spanning_lists())
+    def test_random_lists(self, X):
+        self.check(X)
+
+    @settings(max_examples=10, deadline=None)
+    @given(spanning_lists(entries=NEAR_1E20, max_size=6))
+    def test_entries_near_1e20(self, X):
+        self.check(X)
+
+    def test_worked_and_unimodular_examples(self):
+        rng = random.Random(31)
+        for X in [WORKED, UNIT_SQUARE] + [random_unimodular_list(rng, n) for n in (1, 2, 3, 4)]:
+            self.check(X)
