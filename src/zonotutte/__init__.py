@@ -23,21 +23,17 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
-    SNFResult,
     VectorList,
     determinant,
     gcd_maximal_minors,
     multiplicity,
     rank,
-    smith_normal_form,
 )
 from .polynomials import (
     BiPoly,
     UniPoly,
     bipoly_from_json,
     bipoly_to_json,
-    eval_bi,
-    eval_uni,
     expand_shifted_basis,
     negate_argument,
     reverse_coefficients,
@@ -86,7 +82,6 @@ __all__ = [
     "ListTooLarge",
     "PointClass",
     "RankDeficient",
-    "SNFResult",
     "TutteResult",
     "UnboundedCone",
     "UniPoly",
@@ -105,8 +100,6 @@ __all__ = [
     "ehrhart_summary",
     "ehrhart_via_independent_sets",
     "ehrhart_via_theorem",
-    "eval_bi",
-    "eval_uni",
     "expand_shifted_basis",
     "find_positive_functional",
     "gcd_maximal_minors",
@@ -118,7 +111,6 @@ __all__ = [
     "rank",
     "reverse_coefficients",
     "scalar_corollaries",
-    "smith_normal_form",
     "unipoly_from_json",
     "unipoly_to_json",
     "zonotope_hrep",

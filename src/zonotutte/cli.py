@@ -12,9 +12,11 @@ Subcommands
 Input is a JSON document {"dim": n, "vectors": [[...], ...]} read from a
 file argument or stdin, or the inline shorthand --vectors "3,0;0,2;1,1".
 Output is a JSON report on stdout (--pretty for a human-readable rendering);
-big integers are serialized as decimal strings.  Reports are byte-stable
-for a fixed input and flag set; the optional --timing flag adds a wall
-clock field that is exempt from that guarantee.
+big integers are serialized as decimal strings, however many digits they
+have.  Input integers are bounded by the interpreter's integer-string
+digit limit (4300 by default).  Reports are byte-stable for a fixed input
+and flag set; the optional --timing flag adds a wall clock field that is
+exempt from that guarantee.
 
 Exit codes: 0 success (and, for verify, every identity passed); 1 an
 identity failed in verify; 2 malformed input; 3 input does not span its
@@ -49,7 +51,6 @@ from .polynomials import (
     UniPoly,
     bipoly_from_json,
     bipoly_to_json,
-    eval_uni,
     format_bipoly,
     format_shifted,
     format_unipoly,
@@ -132,7 +133,9 @@ def _load_input(args) -> VectorList:
         raise InputError(f"cannot read input: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers syntax errors and integers beyond the
+        # interpreter's digit limit; RecursionError, nesting too deep
         raise InputError(f"invalid JSON: {exc}") from exc
     try:
         return _vector_list_from_doc(doc)
@@ -203,7 +206,7 @@ def _scalar_report(X: VectorList, args, command: str) -> dict:
     else:
         q = args.q
         poly = summary.ehrhart if command == "count" else summary.interior
-        exact = eval_uni(poly, q)
+        exact = poly.evaluate(q)
         if exact.denominator != 1:
             raise AssertionError(f"{command} polynomial at q={q} gave {exact}")
         value = int(exact)
@@ -280,8 +283,8 @@ def _cmd_verify(X: VectorList, args) -> dict:
                 )
         for q in q_list:
             closed, opened = counts[q]
-            record(f"closed_count_q{q}", str(int(eval_uni(E_theorem, q))), str(closed))
-            record(f"interior_count_q{q}", str(int(eval_uni(I_poly, q))), str(opened))
+            record(f"closed_count_q{q}", str(int(E_theorem.evaluate(q))), str(closed))
+            record(f"interior_count_q{q}", str(int(I_poly.evaluate(q))), str(opened))
         closed1, opened1 = counts[1]
         record("corollary_points", str(points), str(closed1))
         record("corollary_interior_points", str(interior_points), str(opened1))
@@ -478,19 +481,28 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    start = time.perf_counter()
+    # results of exact arithmetic may have more digits than the interpreter
+    # converts to text by default; the limit still applies to parsed input
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        report = args.handler(X, args)
-    except DimensionDeficient as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (ListTooLarge, EliminationTooLarge, BoxTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    if args.timing:
-        report["timing_ms"] = int((time.perf_counter() - start) * 1000)
+        start = time.perf_counter()
+        try:
+            report = args.handler(X, args)
+        except DimensionDeficient as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DIMENSION
+        except (ListTooLarge, EliminationTooLarge, BoxTooLarge) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        if args.timing:
+            report["timing_ms"] = int((time.perf_counter() - start) * 1000)
+        _emit(report, args)
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
-    _emit(report, args)
     if args.command == "verify" and not report["results"]["all_pass"]:
         return EXIT_IDENTITY_FAILED
     return EXIT_OK

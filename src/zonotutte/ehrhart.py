@@ -5,7 +5,11 @@ of the zonotope generated by X:
 
   * a specialization of the multiplicity-weighted Tutte polynomial,
     E(q) = q^n M(1 + 1/q, 1), realized exactly as a coefficient reversal;
-  * a direct sum m(A) q^|A| over the linearly independent sublists A.
+  * a direct sum m(A) q^|A| over the linearly independent sublists A,
+    with m(A) the gcd of the |A| x |A| minors of A (0 when A is
+    dependent).  The sum reads no Hermite normal form, so it does not
+    share the lattice kernel the Tutte sum is built on; only the input
+    check, common to both routes, ranks X with that kernel.
 
 The interior counting polynomial is I(q) = (-1)^n E(-q) (reciprocity),
 which as a specialization reads q^n M(1 - 1/q, 1).  Closed count, volume
@@ -17,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import exact_linalg
-from .errors import DegreeMismatch, DimensionDeficient, ListTooLarge
-from .exact_linalg import VectorList
-from .polynomials import UniPoly, eval_bi, negate_argument, reverse_coefficients
-from .tutte_core import MAX_LIST_SIZE, TutteResult
+from .errors import DegreeMismatch
+from .exact_linalg import VectorList, minor_gcd
+from .polynomials import UniPoly, negate_argument, reverse_coefficients
+from .tutte_core import MAX_LIST_SIZE, TutteResult, check_input
 
 
 @dataclass(frozen=True)
@@ -50,27 +53,14 @@ def ehrhart_via_independent_sets(
     X: VectorList, *, max_list_size: int = MAX_LIST_SIZE
 ) -> UniPoly:
     """Ehrhart polynomial summed directly over independent sublists of X."""
-    if len(X) > max_list_size:
-        raise ListTooLarge(
-            f"list has {len(X)} vectors; enumeration cap is {max_list_size}"
-        )
+    check_input(X, max_list_size)
     n = X.dim
-    full_rank = exact_linalg.rank(X.column_matrix())
-    if full_rank < n:
-        raise DimensionDeficient(
-            f"list spans a rank-{full_rank} subspace of Z^{n}; full rank required"
-        )
-    coeffs = [0] * (n + 1)
-    for size in range(n + 1):
-        for idxs in combinations(range(len(X)), size):
-            sub = X.sublist(idxs)
-            snf = exact_linalg.smith_normal_form(sub.column_matrix())
-            if snf.rank == size:
-                mult = 1
-                for d in snf.invariant_factors:
-                    mult *= d
-                coeffs[size] += mult
-    return UniPoly(coeffs)
+    return UniPoly(
+        [
+            sum(minor_gcd(A, n, size) for A in combinations(X.vectors, size))
+            for size in range(n + 1)
+        ]
+    )
 
 
 def interior_polynomial(E: UniPoly, n: int) -> UniPoly:
@@ -88,7 +78,7 @@ def scalar_corollaries(M: TutteResult) -> tuple[int, int, int]:
     """
     values = []
     for point in ((2, 1), (1, 1), (0, 1)):
-        v = eval_bi(M.polynomial, *point)
+        v = M.polynomial.evaluate(*point)
         if v.denominator != 1 or v < 0:
             raise AssertionError(f"specialization at {point} gave {v}")
         values.append(int(v))

@@ -1,27 +1,32 @@
 """Exact integer linear algebra for lists of lattice vectors.
 
-Everything here runs on arbitrary-precision Python integers (with exact
-Fractions where a division cannot be avoided); no floating point is used
-anywhere.  The central quantity is the multiplicity of a sublist A of
-vectors in Z^n: the index of the integer span of A inside the sublattice
-of Z^n contained in the real span of A.  It equals the product of the
-invariant factors of the matrix whose columns are A, and, when A has full
-rank n, also the gcd of the absolute n x n minors of that matrix.
+Everything here runs on arbitrary-precision Python integers; no floating
+point or rational arithmetic is used anywhere.  The central quantity is
+the multiplicity of a sublist A of vectors in Z^n: the index of the
+integer span of A inside the sublattice of Z^n contained in the real span
+of A.  It equals the gcd of the r x r minors of the matrix whose columns
+are A, with r the rank of A.
 
-A lattice is represented by its canonical row Hermite normal form
-(hnf_insert), so two lists span the same lattice exactly when their keys
-are equal; lattice_multiplicity reads m(A) off that key.
+Two exact algorithms serve every caller:
+
+  * Hermite normal form.  A lattice is represented by its canonical row
+    Hermite normal form (hnf_insert, span), so two lists span the same
+    lattice exactly when their keys are equal; rank is the number of rows
+    of that key and lattice_multiplicity reads m(A) off it.
+  * Minors.  minor_gcd is the gcd of all k x k minors (Bareiss
+    determinants), 0 exactly when the rank is below k.  It never builds a
+    Hermite form, so what is computed from it alone (the independent-set
+    Ehrhart sum, gcd_maximal_minors) does not depend on hnf_insert.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import RankDeficient
+from .errors import DimensionDeficient, RankDeficient
 
 
 def _check_int(value) -> int:
@@ -72,17 +77,11 @@ class IntMatrix:
         flat = tuple(cols[j][i] for i in range(dim) for j in range(len(cols)))
         return cls(dim, len(cols), flat)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def to_rows(self) -> list[list[int]]:
         return [
             list(self.entries[i * self.cols : (i + 1) * self.cols])
             for i in range(self.rows)
         ]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
 
 @dataclass(frozen=True)
@@ -111,40 +110,8 @@ class VectorList:
     def __iter__(self):
         return iter(self.vectors)
 
-    def column_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.vectors, self.dim)
-
     def sublist(self, indices: Iterable[int]) -> "VectorList":
         return VectorList(self.dim, [self.vectors[i] for i in indices])
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
-
-    invariant_factors: tuple[int, ...]
-    rank: int
-
-
-def rank(A: IntMatrix) -> int:
-    """Dimension of the rational span of the columns of A (0 if empty)."""
-    m = [[Fraction(A.entry(i, j)) for j in range(A.cols)] for i in range(A.rows)]
-    r = 0
-    for col in range(A.cols):
-        pivot = next((i for i in range(r, A.rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        for i in range(r + 1, A.rows):
-            factor = m[i][col] * inv
-            if factor:
-                for j in range(col, A.cols):
-                    m[i][j] -= factor * m[r][j]
-        r += 1
-        if r == A.rows:
-            break
-    return r
 
 
 def determinant(A: IntMatrix) -> int:
@@ -177,80 +144,20 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def smith_normal_form(A: IntMatrix) -> SNFResult:
-    """Invariant factors of A by exact elementary row/column operations.
+def minor_gcd(vectors: Sequence[Sequence[int]], dim: int, k: int) -> int:
+    """gcd of the absolute k x k minors of the dim-row matrix whose columns
+    are vectors.
 
-    The pivot at each stage is the entry of smallest nonzero absolute
-    value in the remaining submatrix, which keeps the intermediate
-    entries small at the scale this package targets.
+    It is 0 exactly when the vectors have rank < k, and at k = rank it is
+    their multiplicity.  k = 0 gives 1 (the empty minor).
     """
-    m = A.to_rows()
-    n_rows, n_cols = A.rows, A.cols
-    factors: list[int] = []
-    t = 0
-    while t < n_rows and t < n_cols:
-        pivot = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                v = m[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            m[pi], m[t] = m[t], m[pi]
-        if pj != t:
-            for row in m:
-                row[pj], row[t] = row[t], row[pj]
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-        p = m[t][t]
-
-        dirty = False
-        for i in range(n_rows):
-            if i == t or m[i][t] == 0:
-                continue
-            q = m[i][t] // p
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-            if m[i][t] != 0:
-                dirty = True
-        for j in range(n_cols):
-            if j == t or m[t][j] == 0:
-                continue
-            q = m[t][j] // p
-            if q:
-                for row in m:
-                    row[j] -= q * row[t]
-            if m[t][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-
-        # the invariant-factor chain requires the pivot to divide the rest
-        offender = None
-        for i in range(t + 1, n_rows):
-            if any(m[i][j] % p for j in range(t + 1, n_cols)):
-                offender = i
-                break
-        if offender is not None:
-            m[t] = [a + b for a, b in zip(m[t], m[offender])]
-            continue
-
-        factors.append(p)
-        t += 1
-    return SNFResult(tuple(factors), len(factors))
-
-
-def multiplicity(A: VectorList) -> int:
-    """Index of the integer span of A in the lattice points of its real span.
-
-    Computed as the product of the invariant factors of the column matrix
-    of A; the empty sublist and sublists of zero vectors give 1.
-    """
-    snf = smith_normal_form(A.column_matrix())
-    return math.prod(snf.invariant_factors)
+    g = 0
+    for cols in combinations(vectors, k):
+        for rows in combinations(range(dim), k):
+            g = math.gcd(g, _bareiss([[v[i] for v in cols] for i in rows]))
+            if g == 1:
+                return 1
+    return g
 
 
 def gcd_maximal_minors(A: VectorList) -> int:
@@ -258,14 +165,9 @@ def gcd_maximal_minors(A: VectorList) -> int:
 
     Requires A to have rank n; equals multiplicity(A) in that case.
     """
-    n = A.dim
-    mat = A.column_matrix()
-    if rank(mat) < n:
-        raise RankDeficient(f"sublist has rank {rank(mat)} < ambient dimension {n}")
-    g = 0
-    for idxs in combinations(range(len(A)), n):
-        sub = IntMatrix.from_columns([A.vectors[i] for i in idxs], n)
-        g = math.gcd(g, abs(determinant(sub)))
+    g = minor_gcd(A.vectors, A.dim, A.dim)
+    if g == 0:
+        raise RankDeficient(f"sublist has rank {rank(A)} < ambient dimension {A.dim}")
     return g
 
 
@@ -345,14 +247,36 @@ def lattice_multiplicity(basis: Lattice) -> int:
     product of the pivots.  The zero lattice gives 1.
     """
     r = len(basis)
-    if r == 0:
-        return 1
-    n = len(basis[0])
-    if r == n:
-        return math.prod(basis[i][i] for i in range(n))
-    g = 0
-    for cols in combinations(range(n), r):
-        g = math.gcd(g, _bareiss([[row[c] for c in cols] for row in basis]))
-        if g == 1:
-            break
-    return g
+    if r and r == len(basis[0]):
+        return math.prod(basis[i][i] for i in range(r))
+    return minor_gcd(basis, len(basis[0]) if basis else 0, r)
+
+
+def span(vectors: Iterable[Sequence[int]]) -> Lattice:
+    """Canonical Hermite basis of the lattice the vectors span."""
+    basis: Lattice = ()
+    for v in vectors:
+        basis = hnf_insert(basis, v)
+    return basis
+
+
+def rank(X: VectorList) -> int:
+    """Dimension of the rational span of the vectors of X (0 if empty)."""
+    return len(span(X.vectors))
+
+
+def multiplicity(A: VectorList) -> int:
+    """Index of the integer span of A in the lattice points of its real span.
+
+    The empty sublist and sublists of zero vectors give 1.
+    """
+    return lattice_multiplicity(span(A.vectors))
+
+
+def check_full_rank(X: VectorList) -> None:
+    """Raise DimensionDeficient unless X spans its ambient space."""
+    r = rank(X)
+    if r < X.dim:
+        raise DimensionDeficient(
+            f"list spans a rank-{r} subspace of Z^{X.dim}; full rank required"
+        )

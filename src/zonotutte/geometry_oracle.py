@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import exact_linalg
-from .errors import BoxTooLarge, DimensionDeficient, EliminationTooLarge, UnboundedCone
+from .errors import BoxTooLarge, EliminationTooLarge, UnboundedCone
 from .exact_linalg import VectorList
 
 MAX_ELIM_VARS = 12
@@ -132,15 +132,9 @@ def _prune_projection_rows(
     rank_cache: dict[frozenset[int], int] = {}
 
     def rank_of(indices: frozenset[int]) -> int:
-        if not indices:
-            return 0
         cached = rank_cache.get(indices)
         if cached is None:
-            cached = exact_linalg.rank(
-                exact_linalg.IntMatrix.from_columns(
-                    [scaled[i] for i in sorted(indices)], len(scaled[0])
-                )
-            )
+            cached = len(exact_linalg.span(scaled[i] for i in indices))
             rank_cache[indices] = cached
         return cached
 
@@ -184,11 +178,7 @@ def zonotope_hrep(X: VectorList, q: int, *, max_elim_vars: int = MAX_ELIM_VARS) 
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
     n, m = X.dim, len(X)
-    r = exact_linalg.rank(X.column_matrix())
-    if r < n:
-        raise DimensionDeficient(
-            f"list spans a rank-{r} subspace of Z^{n}; full rank required"
-        )
+    exact_linalg.check_full_rank(X)
     if m > max_elim_vars:
         raise EliminationTooLarge(
             f"list has {m} vectors; elimination cap is {max_elim_vars}"
@@ -303,11 +293,7 @@ def closed_open_counts(
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
-    r = exact_linalg.rank(X.column_matrix())
-    if r < X.dim:
-        raise DimensionDeficient(
-            f"list spans a rank-{r} subspace of Z^{X.dim}; full rank required"
-        )
+    exact_linalg.check_full_rank(X)
     if X.dim > MAX_BRUTE_FORCE_DIM:
         raise BoxTooLarge(
             f"brute-force counting supports dimension <= {MAX_BRUTE_FORCE_DIM}, got {X.dim}"

@@ -40,10 +40,6 @@ class BiPoly:
                 clean[(int(i), int(j))] = c
         self._terms = clean
 
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self._terms)
 
@@ -117,10 +113,6 @@ class UniPoly:
         while data and data[-1] == 0:
             data.pop()
         self._coeffs = tuple(data)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls([])
 
     @property
     def coefficients(self) -> tuple[int, ...]:
@@ -204,16 +196,6 @@ def expand_shifted_basis(terms: Mapping[tuple[int, int], int]) -> BiPoly:
                 key = (a, b)
                 acc[key] = acc.get(key, 0) + coeff
     return BiPoly(acc)
-
-
-def eval_bi(P: BiPoly, x: Scalar, y: Scalar) -> Fraction:
-    """Exact rational value of P at (x, y)."""
-    return P.evaluate(x, y)
-
-
-def eval_uni(P: UniPoly, t: Scalar) -> Fraction:
-    """Exact rational value of P at t."""
-    return P.evaluate(t)
 
 
 def reverse_coefficients(P: UniPoly, n: int) -> UniPoly:

@@ -23,9 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import exact_linalg
-from .errors import DimensionDeficient, ListTooLarge
-from .exact_linalg import Lattice, VectorList, hnf_insert, lattice_multiplicity
+from .errors import ListTooLarge
+from .exact_linalg import (
+    Lattice,
+    VectorList,
+    check_full_rank,
+    hnf_insert,
+    lattice_multiplicity,
+)
 from .polynomials import BiPoly, expand_shifted_basis
 
 MAX_LIST_SIZE = 24
@@ -47,20 +52,18 @@ class TutteResult:
     is_unimodular: bool
 
 
-def _check_input(X: VectorList, max_list_size: int) -> None:
+def check_input(X: VectorList, max_list_size: int) -> None:
+    """Reject lists longer than max_list_size (ListTooLarge), then lists
+    that do not span Z^n (DimensionDeficient)."""
     if len(X) > max_list_size:
         raise ListTooLarge(
             f"list has {len(X)} vectors; enumeration cap is {max_list_size}"
         )
-    r = exact_linalg.rank(X.column_matrix())
-    if r < X.dim:
-        raise DimensionDeficient(
-            f"list spans a rank-{r} subspace of Z^{X.dim}; full rank required"
-        )
+    check_full_rank(X)
 
 
 def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult:
-    _check_input(X, max_list_size)
+    check_input(X, max_list_size)
     n = X.dim
     # counts[L] holds, for each size s, the number of sublists of size s
     # spanning L, packed into bits [s*width, (s+1)*width) of one integer.

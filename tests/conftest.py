@@ -15,7 +15,7 @@ def random_full_rank_list(rng, n, max_size=6, bound=5):
         size = rng.randint(n, max_size)
         vecs = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(size)]
         X = VectorList(n, vecs)
-        if rank(X.column_matrix()) == n:
+        if rank(X) == n:
             return X
 
 

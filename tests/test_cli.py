@@ -261,6 +261,34 @@ class TestExitCodes:
         )
         assert code == 5
 
+    def test_integer_beyond_digit_limit_is_malformed(self, capsys, monkeypatch):
+        import io
+
+        doc = '{"dim": 1, "vectors": [[' + "9" * 5000 + "]]}"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, err = run_cli(capsys, "tutte")
+        assert code == 2
+        assert not out and err.startswith("error: invalid JSON")
+
+    def test_deeply_nested_json_is_malformed(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 200_000 + "]" * 200_000))
+        code, out, err = run_cli(capsys, "tutte")
+        assert code == 2
+        assert not out and err.startswith("error: invalid JSON")
+
+
+class TestBigResults:
+    def test_result_longer_than_digit_limit_prints(self, capsys):
+        # (10^2500 - 1)^2 has 5000 digits: 9...98 0...01
+        a = "9" * 2500
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        report = run_json(capsys, "volume", "--vectors", f"{a},0;0,{a}")
+        assert report["results"]["value"] == "9" * 2499 + "8" + "0" * 2499 + "1"
+        # the lifted limit does not outlive the call
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import combinations
 
 import pytest
 
@@ -12,114 +11,119 @@ from zonotutte import (
     gcd_maximal_minors,
     multiplicity,
     rank,
-    smith_normal_form,
 )
-from zonotutte.exact_linalg import hnf_insert, lattice_multiplicity
+from zonotutte.exact_linalg import lattice_multiplicity, minor_gcd, span
+from tutte_reference import rank_and_multiplicity
 
 
 def columns(vectors, dim):
     return IntMatrix.from_columns(vectors, dim)
 
 
+def sympy_matrix(sympy, vectors, dim):
+    """The dim x len(vectors) matrix whose columns are vectors."""
+    return sympy.Matrix(dim, len(vectors), lambda i, j: vectors[j][i])
+
+
+BOUNDS = (1, 5, 1000, 10**20)
+
+
+def random_generators(rng, n, bound):
+    k = rng.randint(0, n + 2)
+    return [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(k)]
+
+
+def corpus(seed, count=60):
+    """(rng, n, vectors) with n in 1..4, up to n + 2 vectors, entry bounds
+    cycling through BOUNDS."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(1, 4)
+        yield rng, n, random_generators(rng, n, BOUNDS[t % len(BOUNDS)])
+
+
 class TestRank:
     def test_empty_list_spans_nothing(self):
-        assert rank(columns([], 2)) == 0
+        assert rank(VectorList(2, [])) == 0
 
     def test_worked_example_is_full_rank(self):
-        assert rank(columns([(3, 0), (0, 2), (1, 1)], 2)) == 2
+        assert rank(VectorList(2, [(3, 0), (0, 2), (1, 1)])) == 2
 
     def test_parallel_columns(self):
-        # second column is half the first
-        assert rank(columns([(2, 4), (1, 2)], 2)) == 1
+        # second vector is half the first
+        assert rank(VectorList(2, [(2, 4), (1, 2)])) == 1
 
     def test_zero_matrix(self):
-        assert rank(columns([(0, 0), (0, 0)], 2)) == 0
+        assert rank(VectorList(2, [(0, 0), (0, 0)])) == 0
 
     def test_monotone_under_inclusion(self, small_corpus):
         for X in small_corpus:
             prev = 0
             for size in range(len(X) + 1):
-                r = rank(columns(X.vectors[:size], X.dim))
+                r = rank(VectorList(X.dim, X.vectors[:size]))
                 assert prev <= r <= min(size, X.dim)
                 prev = r
 
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for _, n, vecs in corpus(37, count=80):
+            assert rank(VectorList(n, vecs)) == sympy_matrix(sympy, vecs, n).rank()
 
-class TestSmithNormalForm:
-    def test_identity(self):
-        snf = smith_normal_form(columns([(1, 0), (0, 1)], 2))
-        assert snf.invariant_factors == (1, 1)
-        assert snf.rank == 2
 
-    def test_diagonal(self):
-        snf = smith_normal_form(columns([(2, 0), (0, 2)], 2))
-        assert snf.invariant_factors == (2, 2)
-
-    def test_single_column_is_gcd(self):
-        snf = smith_normal_form(columns([(3, 0)], 2))
-        assert snf.invariant_factors == (3,)
-
-    def test_zero_and_empty(self):
-        assert smith_normal_form(columns([(0, 0)], 2)).invariant_factors == ()
-        assert smith_normal_form(columns([], 3)).rank == 0
-
-    def test_divisibility_chain_and_rank(self, small_corpus):
-        for X in small_corpus:
-            snf = smith_normal_form(X.column_matrix())
-            assert snf.rank == rank(X.column_matrix())
-            assert all(d >= 1 for d in snf.invariant_factors)
-            for a, b in zip(snf.invariant_factors, snf.invariant_factors[1:]):
-                assert b % a == 0
+class TestMinorGcd:
+    def test_small_cases(self):
+        assert minor_gcd([], 3, 0) == 1
+        assert minor_gcd([(0, 0)], 2, 0) == 1
+        assert minor_gcd([(0, 0)], 2, 1) == 0
+        assert minor_gcd([(6, 4)], 2, 1) == 2
+        assert minor_gcd([(3, 0), (0, 2), (1, 1)], 2, 2) == 1
+        assert minor_gcd([(2, 0), (0, 2)], 2, 2) == 4
+        # more columns than k picks k of them; k above the count gives 0
+        assert minor_gcd([(1, 0)], 2, 2) == 0
 
     def test_matches_determinantal_divisors(self):
-        # independent oracle: the k-th invariant factor is the gcd of all
-        # k x k minors divided by the gcd of all (k-1) x (k-1) minors
-        rng = random.Random(5)
+        # independent oracle: the gcd of the k x k minors is the product of
+        # the first k invariant factors, and 0 beyond the rank
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
 
-        def minors_gcd(vecs, n, k):
-            g = 0
-            for row_idx in combinations(range(n), k):
-                for col_idx in combinations(range(len(vecs)), k):
-                    sub = IntMatrix.from_rows(
-                        [[vecs[c][r] for c in col_idx] for r in row_idx]
-                    )
-                    g = math.gcd(g, abs(determinant(sub)))
-            return g
+        for _, n, vecs in corpus(5, count=80):
+            if not vecs:
+                continue
+            matrix = sympy_matrix(sympy, vecs, n)
+            factors = [abs(int(d)) for d in invariant_factors(matrix, domain=sympy.ZZ) if d]
+            for k in range(min(n, len(vecs)) + 1):
+                expected = math.prod(factors[:k]) if k <= len(factors) else 0
+                assert minor_gcd(vecs, n, k) == expected
 
-        for _ in range(30):
-            n = rng.randint(1, 3)
-            size = rng.randint(1, 4)
-            vecs = [tuple(rng.randint(-7, 7) for _ in range(n)) for _ in range(size)]
-            snf = smith_normal_form(columns(vecs, n))
-            expected = []
-            prev = 1
-            for k in range(1, min(n, size) + 1):
-                g = minors_gcd(vecs, n, k)
-                if g == 0:
-                    break
-                expected.append(g // prev)
-                prev = g
-            assert list(snf.invariant_factors) == expected
+    def test_zero_exactly_below_rank(self):
+        sympy = pytest.importorskip("sympy")
+        for _, n, vecs in corpus(11):
+            r = sympy_matrix(sympy, vecs, n).rank()
+            for k in range(min(n, len(vecs)) + 1):
+                assert (minor_gcd(vecs, n, k) == 0) == (k > r)
 
     def test_invariance_under_permutation_and_negation(self):
         rng = random.Random(7)
         for _ in range(40):
             n = rng.randint(1, 4)
-            k = rng.randint(1, 5)
-            vecs = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(k)]
-            base = smith_normal_form(columns(vecs, n)).invariant_factors
+            size = rng.randint(1, 5)
+            vecs = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(size)]
+            for k in range(min(n, size) + 1):
+                base = minor_gcd(vecs, n, k)
 
-            shuffled = vecs[:]
-            rng.shuffle(shuffled)
-            assert smith_normal_form(columns(shuffled, n)).invariant_factors == base
+                shuffled = vecs[:]
+                rng.shuffle(shuffled)
+                assert minor_gcd(shuffled, n, k) == base
 
-            j = rng.randrange(k)
-            negated = [tuple(-x for x in v) if i == j else v for i, v in enumerate(vecs)]
-            assert smith_normal_form(columns(negated, n)).invariant_factors == base
+                j = rng.randrange(size)
+                negated = [tuple(-x for x in v) if i == j else v for i, v in enumerate(vecs)]
+                assert minor_gcd(negated, n, k) == base
 
-            perm = list(range(n))
-            rng.shuffle(perm)
-            rows_permuted = [tuple(v[p] for p in perm) for v in vecs]
-            assert smith_normal_form(columns(rows_permuted, n)).invariant_factors == base
+                perm = list(range(n))
+                rng.shuffle(perm)
+                rows_permuted = [tuple(v[p] for p in perm) for v in vecs]
+                assert minor_gcd(rows_permuted, n, k) == base
 
 
 class TestMultiplicity:
@@ -143,7 +147,7 @@ class TestMultiplicity:
             for mask in range(1 << len(X)):
                 idxs = [b for b in range(len(X)) if mask >> b & 1]
                 A = X.sublist(idxs)
-                r = rank(A.column_matrix())
+                r = rank(A)
                 m = multiplicity(A)
                 for q in (1, 2, 3):
                     qA = VectorList(A.dim, [tuple(q * x for x in v) for v in A])
@@ -170,7 +174,7 @@ class TestGcdMaximalMinors:
             for mask in range(1 << len(X)):
                 idxs = [b for b in range(len(X)) if mask >> b & 1]
                 A = X.sublist(idxs)
-                if rank(A.column_matrix()) == n:
+                if rank(A) == n:
                     assert gcd_maximal_minors(A) == multiplicity(A)
 
 
@@ -203,18 +207,6 @@ class TestDeterminant:
         assert determinant(m) == big * big - 1
 
 
-def hnf_of(vectors):
-    basis = ()
-    for v in vectors:
-        basis = hnf_insert(basis, v)
-    return basis
-
-
-def random_generators(rng, n, bound):
-    k = rng.randint(0, n + 2)
-    return [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(k)]
-
-
 def change_generators(rng, vectors):
     """Generators of the same lattice: elementary unimodular operations on
     the list (add an integer multiple of one vector to another, negate,
@@ -236,18 +228,10 @@ def change_generators(rng, vectors):
 
 
 class TestHermiteKernel:
-    BOUNDS = (1, 5, 1000, 10**20)
-
-    def corpus(self, seed, count=60):
-        rng = random.Random(seed)
-        for t in range(count):
-            n = rng.randint(1, 4)
-            yield rng, n, random_generators(rng, n, self.BOUNDS[t % 4])
-
     def test_canonical_form(self):
-        for _, n, vecs in self.corpus(41):
-            basis = hnf_of(vecs)
-            assert len(basis) == rank(columns(vecs, n))
+        for _, n, vecs in corpus(41):
+            basis = span(vecs)
+            assert len(basis) == rank_and_multiplicity(vecs, n)[0]
             leading = [next(j for j, x in enumerate(row) if x) for row in basis]
             assert leading == sorted(set(leading))
             for k, (row, p) in enumerate(zip(basis, leading)):
@@ -256,39 +240,39 @@ class TestHermiteKernel:
                     assert 0 <= above[p] < row[p]
 
     def test_key_ignores_order_and_choice_of_generators(self):
-        for rng, n, vecs in self.corpus(43):
+        for rng, n, vecs in corpus(43):
             if not vecs:
                 continue
-            key = hnf_of(vecs)
+            key = span(vecs)
             shuffled = vecs[:]
             rng.shuffle(shuffled)
-            assert hnf_of(shuffled) == key
-            assert hnf_of(change_generators(rng, vecs)) == key
-            assert hnf_of(vecs + [(0,) * n] + vecs[:1]) == key
+            assert span(shuffled) == key
+            assert span(change_generators(rng, vecs)) == key
+            assert span(vecs + [(0,) * n] + vecs[:1]) == key
 
     def test_key_distinguishes_lattices(self):
-        assert hnf_of([(2, 0), (0, 1)]) != hnf_of([(1, 0), (0, 1)])
-        assert hnf_of([(1, 1)]) != hnf_of([(1, -1)])
-        assert hnf_of([(3, 0), (0, 2), (1, 1)]) == ((1, 0), (0, 1))
+        assert span([(2, 0), (0, 1)]) != span([(1, 0), (0, 1)])
+        assert span([(1, 1)]) != span([(1, -1)])
+        assert span([(3, 0), (0, 2), (1, 1)]) == ((1, 0), (0, 1))
 
     def test_multiplicity_matches_smith_normal_forms(self):
+        # the kernel against the generators' own minors and against the
+        # invariant factors of sympy's Smith normal form
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import invariant_factors
 
-        for _, n, vecs in self.corpus(47):
-            m = lattice_multiplicity(hnf_of(vecs))
-            assert m == multiplicity(VectorList(n, vecs))
+        for _, n, vecs in corpus(47):
+            m = lattice_multiplicity(span(vecs))
+            assert m == rank_and_multiplicity(vecs, n)[1]
             if vecs:
-                matrix = sympy.Matrix(columns(vecs, n).to_rows())
-                factors = invariant_factors(matrix, domain=sympy.ZZ)
+                factors = invariant_factors(sympy_matrix(sympy, vecs, n), domain=sympy.ZZ)
                 assert m == math.prod(abs(int(d)) for d in factors if d)
 
     def test_multiplicity_at_full_rank_is_gcd_of_maximal_minors(self):
-        for _, n, vecs in self.corpus(53):
-            X = VectorList(n, vecs)
-            if rank(X.column_matrix()) == n:
-                assert lattice_multiplicity(hnf_of(vecs)) == gcd_maximal_minors(X)
+        for _, n, vecs in corpus(53):
+            if minor_gcd(vecs, n, n):
+                assert lattice_multiplicity(span(vecs)) == gcd_maximal_minors(VectorList(n, vecs))
 
     def test_zero_lattice(self):
-        assert hnf_of([]) == hnf_of([(0, 0, 0)]) == ()
+        assert span([]) == span([(0, 0, 0)]) == ()
         assert lattice_multiplicity(()) == 1

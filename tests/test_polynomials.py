@@ -9,8 +9,6 @@ from zonotutte import (
     UniPoly,
     bipoly_from_json,
     bipoly_to_json,
-    eval_bi,
-    eval_uni,
     expand_shifted_basis,
     negate_argument,
     reverse_coefficients,
@@ -68,21 +66,21 @@ class TestExpandShiftedBasis:
                 (c * (x - 1) ** i * (y - 1) ** j for (i, j), c in terms.items()),
                 Fraction(0),
             )
-            assert eval_bi(P, x, y) == direct
+            assert P.evaluate(x, y) == direct
 
 
 class TestEvalBi:
     def test_count_point(self):
-        assert eval_bi(WORKED, 2, 1) == 18
+        assert WORKED.evaluate(2, 1) == 18
 
     def test_volume_point(self):
-        assert eval_bi(WORKED, 1, 1) == 11
+        assert WORKED.evaluate(1, 1) == 11
 
     def test_origin_gives_constant(self):
-        assert eval_bi(WORKED, 0, 0) == 5
+        assert WORKED.evaluate(0, 0) == 5
 
     def test_rational_point(self):
-        assert eval_bi(WORKED, Fraction(3, 2), 1) == Fraction(9, 4) + 6 + 1 + 5
+        assert WORKED.evaluate(Fraction(3, 2), 1) == Fraction(9, 4) + 6 + 1 + 5
 
 
 class TestReverseCoefficients:
@@ -113,20 +111,20 @@ class TestReverseCoefficients:
 
 class TestEvalAndNegate:
     def test_eval_at_two(self):
-        assert eval_uni(UniPoly([1, 6, 11]), 2) == 57
+        assert UniPoly([1, 6, 11]).evaluate(2) == 57
 
     def test_negate_argument(self):
         assert negate_argument(UniPoly([1, 6, 11])) == UniPoly([1, -6, 11])
 
     def test_identity_at_zero(self):
-        assert eval_uni(UniPoly([0, 1]), 0) == 0
+        assert UniPoly([0, 1]).evaluate(0) == 0
 
     def test_negate_matches_evaluation(self):
         rng = random.Random(19)
         for _ in range(25):
             P = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))])
             t = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-            assert eval_uni(negate_argument(P), t) == eval_uni(P, -t)
+            assert negate_argument(P).evaluate(t) == P.evaluate(-t)
 
 
 class TestCanonicalForm:
