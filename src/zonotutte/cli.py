@@ -273,8 +273,8 @@ def _cmd_verify(X: VectorList, args) -> dict:
     record("volume_identity", str(E_theorem.coefficient(n)), str(volume))
 
     if args.oracle:
-        # one box scan per distinct q gives both the closed and the open
-        # count; q = 1 also serves the corollaries
+        # one oracle count per distinct q gives both the closed and the
+        # open count; q = 1 also serves the corollaries
         counts: dict[int, tuple[int, int]] = {}
         for q in [*q_list, 1]:
             if q not in counts:

@@ -3,9 +3,9 @@
 The zonotope of a list X in Z^n, scaled by a positive integer q, is the
 projection of a box: { p : p = sum_i t_i (q x_i), 0 <= t_i <= 1 }.  This
 module obtains an inequality description of that projection by exact
-rational Fourier-Motzkin elimination of the t variables, then counts
-lattice points by enumerating the coordinate bounding box and classifying
-every point against the inequalities.
+rational Fourier-Motzkin elimination of the t variables, then counts the
+lattice points of the coordinate bounding box that satisfy the
+inequalities (closed) or satisfy them strictly (interior).
 
 Why strictness against possibly redundant inequalities classifies interiors
 correctly: the zonotope here is full-dimensional (rank X = n), so any valid
@@ -14,9 +14,11 @@ point p has a ball around it inside the body, and c.p = d would place half
 of that ball outside the half-space.  Redundant valid inequalities can
 therefore never demote an interior point to the boundary.
 
-Classification over the box runs on 64-bit integer vector arithmetic when
-a precomputed bound rules out overflow, and falls back to pure Python big
-integers otherwise; both paths are exact.
+The count walks the lines of the bounding box along its longest axis, on
+exact Python integers: each row c.p <= d bounds a line's interval of
+integers by one floor division, or keeps or drops the whole line where c
+is 0 on that axis.  Interior points take the same walk with every offset
+lowered by 1, since c.p < d is c.p <= d - 1 on integer points.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from operator import floordiv, sub
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import exact_linalg
 from .errors import BoxTooLarge, EliminationTooLarge, UnboundedCone
@@ -249,34 +249,38 @@ def _box_ranges(X: VectorList, q: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _scan_box_python(H: HRep, ranges: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    closed = opened = 0
-    for point in product(*(range(lo, hi + 1) for lo, hi in ranges)):
-        cls = classify_point(H, point)
-        if cls is PointClass.OUTSIDE:
-            continue
-        closed += 1
-        if cls is PointClass.INTERIOR:
-            opened += 1
-    return closed, opened
+def _count_below(rows: Sequence[Row], ranges: Sequence[tuple[int, int]]) -> int:
+    """Integer points p of the box with c . p <= d on every row (c, d); the
+    rows must bound a body inside the box, so lines need no clipping."""
+    axis = max(range(len(ranges)), key=lambda j: ranges[j][1] - ranges[j][0])
+    others = [j for j in range(len(ranges)) if j != axis]
+    # on a line with slack s = d - (c.p without its axis term), a row caps the
+    # axis coordinate at s // c_axis if c_axis > 0, floors it at
+    # -(s // -c_axis) if c_axis < 0, and keeps or drops the line if c_axis = 0
+    caps = [(c, d) for c, d in rows if c[axis] > 0]
+    floors = [(c, d) for c, d in rows if c[axis] < 0]
+    rows = caps + floors + [(c, d) for c, d in rows if c[axis] == 0]
+    u, v = len(caps), len(caps) + len(floors)
+    cap_div = [c[axis] for c, _ in caps]
+    floor_div = [-c[axis] for c, _ in floors]
 
+    def count(depth: int, slacks: list[int]) -> int:
+        if depth == len(others):
+            if min(slacks[v:], default=0) < 0:
+                return 0
+            hi = min(map(floordiv, slacks[:u], cap_div))
+            lo = -min(map(floordiv, slacks[u:v], floor_div))
+            return max(0, hi - lo + 1)
+        lo_j, hi_j = ranges[others[depth]]
+        step = [c[others[depth]] for c, _ in rows]
+        slacks = [s - c * lo_j for s, c in zip(slacks, step)]
+        total = 0
+        for _ in range(lo_j, hi_j + 1):
+            total += count(depth + 1, slacks)
+            slacks = list(map(sub, slacks, step))
+        return total
 
-def _scan_box_numpy(H: HRep, ranges: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    normals = np.array([n for n, _ in H.inequalities], dtype=np.int64)
-    offsets = np.array([d for _, d in H.inequalities], dtype=np.int64)
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
-    sizes = [len(a) for a in axes]
-    total = math.prod(sizes)
-    chunk = max(1, 2_000_000 // max(1, len(offsets)))
-    closed = opened = 0
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        multi = np.unravel_index(flat, sizes)
-        points = np.stack([axes[k][multi[k]] for k in range(len(axes))], axis=1)
-        values = points @ normals.T
-        closed += int(np.count_nonzero((values <= offsets).all(axis=1)))
-        opened += int(np.count_nonzero((values < offsets).all(axis=1)))
-    return closed, opened
+    return count(0, [d for _, d in rows])
 
 
 def closed_open_counts(
@@ -288,7 +292,8 @@ def closed_open_counts(
 ) -> tuple[int, int]:
     """Count lattice points of the dilated zonotope: (closed hull, interior).
 
-    One box scan produces both counts; brute_force_count is the
+    Both counts walk the same lines of the bounding box, the interior with
+    every offset lowered by 1 (module docstring); brute_force_count is the
     single-mode front end.
     """
     if q < 1:
@@ -303,15 +308,10 @@ def closed_open_counts(
     if box_points > max_box:
         raise BoxTooLarge(f"bounding box holds {box_points} points; cap is {max_box}")
     H = zonotope_hrep(X, q, max_elim_vars=max_elim_vars)
-
-    coord_bound = max(max(abs(lo), abs(hi)) for lo, hi in ranges)
-    row_bound = max(
-        sum(abs(c) for c in normal) * coord_bound + abs(rhs)
-        for normal, rhs in H.inequalities
+    return (
+        _count_below(H.inequalities, ranges),
+        _count_below([(c, d - 1) for c, d in H.inequalities], ranges),
     )
-    if row_bound < 2**62:
-        return _scan_box_numpy(H, ranges)
-    return _scan_box_python(H, ranges)
 
 
 def brute_force_count(
@@ -323,7 +323,7 @@ def brute_force_count(
     max_elim_vars: int = MAX_ELIM_VARS,
 ) -> int:
     """Number of lattice points in the dilated zonotope (CLOSED) or its
-    interior (OPEN), counted by exhaustive box enumeration."""
+    interior (OPEN), counted line by line over the bounding box."""
     closed, opened = closed_open_counts(
         X, q, max_box=max_box, max_elim_vars=max_elim_vars
     )

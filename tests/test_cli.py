@@ -243,6 +243,12 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_box_cap_exceeded(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "verify", "--oracle", "--max-box", "1", "--vectors", "3,0;0,2;1,1"
+        )
+        assert code == 4
+
     def test_bad_q(self, capsys):
         code, _, _ = run_cli(
             capsys, "count", "--q", "0", "--vectors", "3,0;0,2;1,1"
@@ -289,6 +295,22 @@ class TestBigResults:
         # the lifted limit does not outlive the call
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    def test_oracle_with_entries_near_ten_to_the_twenty(self, capsys):
+        # about 2 * 10^20 box points on two lines
+        report = run_json(
+            capsys,
+            "verify",
+            "--oracle",
+            "--q-list",
+            "1,2,3",
+            "--max-box",
+            str(10**24),
+            "--vectors",
+            "100000000000000000000,1;1,0",
+        )
+        assert report["results"]["all_pass"] is True
+        assert any(c["identity"] == "closed_count_q3" for c in report["checks"])
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):
@@ -303,3 +325,23 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["value"] == "11"
+
+    def test_runs_without_numpy(self):
+        src = os.path.dirname(os.path.dirname(zonotutte.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = (
+            "import sys\n"
+            "import zonotutte.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.exit(zonotutte.cli.main("
+            "['verify', '--oracle', '--vectors', '3,0;0,2;1,1']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["all_pass"] is True

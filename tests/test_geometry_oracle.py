@@ -17,11 +17,16 @@ from zonotutte import (
     classify_point,
     closed_open_counts,
     dilate_list,
+    ehrhart_via_independent_sets,
     find_positive_functional,
+    interior_polynomial,
     partition_function,
     zonotope_hrep,
 )
-from zonotutte.geometry_oracle import _scan_box_python, _box_ranges
+from zonotutte.geometry_oracle import _box_ranges
+
+from conftest import random_full_rank_list
+from oracle_reference import reference_counts
 
 WORKED = VectorList(2, [(3, 0), (0, 2), (1, 1)])
 UNIT_SQUARE = VectorList(2, [(1, 0), (0, 1)])
@@ -147,11 +152,32 @@ class TestBruteForceCount:
         with pytest.raises(BoxTooLarge):
             brute_force_count(X, 1, CountMode.CLOSED)
 
-    def test_numpy_and_python_scans_agree(self, small_corpus):
+    def test_line_count_matches_point_scan(self, small_corpus):
         for X in small_corpus[:6]:
-            H = zonotope_hrep(X, 2)
-            ranges = _box_ranges(X, 2)
-            assert _scan_box_python(H, ranges) == closed_open_counts(X, 2)
+            assert closed_open_counts(X, 2) == reference_counts(X, 2)
+        rng = random.Random(1102)
+        # entry bounds keep the per-point reference's box small at q = 3
+        for n, bound in ((1, 3), (2, 2), (3, 1), (4, 1)):
+            for _ in range(12):
+                X = random_full_rank_list(rng, n, max_size=n + 2, bound=bound)
+                vectors = list(X.vectors)
+                for _ in range(rng.randint(0, 2)):
+                    vectors.insert(rng.randint(0, len(vectors)), (0,) * n)
+                X = VectorList(n, vectors)
+                q = rng.randint(1, 3)
+                assert closed_open_counts(X, q) == reference_counts(X, q), (X, q)
+
+    def test_line_axis_in_every_position(self):
+        # the first coordinate spans the longest range; rotate it to each position
+        base = [(3, 1, 0, -1), (2, -1, 1, 0), (0, 0, 0, 0), (-1, 0, 1, 1), (1, 1, -1, 1)]
+        for n in (3, 4):
+            for axis in range(n):
+                vectors = [tuple(v[(j - axis) % n] for j in range(n)) for v in base]
+                X = VectorList(n, vectors)
+                widths = [hi - lo for lo, hi in _box_ranges(X, 1)]
+                assert widths.index(max(widths)) == axis and widths.count(max(widths)) == 1
+                for q in (1, 2, 3):
+                    assert closed_open_counts(X, q) == reference_counts(X, q), (X, q)
 
     def test_dilation_compatibility(self, small_corpus):
         for X in small_corpus[:8]:
@@ -164,6 +190,27 @@ class TestBruteForceCount:
         for X in small_corpus:
             closed, opened = closed_open_counts(X, 2)
             assert closed - opened >= X.dim + 1
+
+
+class TestBigEntries:
+    """Entries near 10^20: the box has about 10^20 points, the lines few."""
+
+    def test_two_dimensional(self):
+        X = VectorList(2, [(10**20, 1), (1, 0)])
+        assert closed_open_counts(X, 1, max_box=10**22) == (4, 0)
+        assert closed_open_counts(X, 3, max_box=10**22) == (16, 4)
+
+    def test_three_dimensional_matches_ehrhart_polynomial(self):
+        X = VectorList(3, [(1, 10**20, 0), (0, 2, 1), (1, 0, 1), (0, 1, -1)])
+        E = ehrhart_via_independent_sets(X)
+        interior = interior_polynomial(E, 3)
+        for q in (1, 2, 3):
+            expected = (E.evaluate(q), interior.evaluate(q))
+            assert closed_open_counts(X, q, max_box=10**24) == expected
+
+    def test_box_cap_still_counts_box_points(self):
+        with pytest.raises(BoxTooLarge):
+            closed_open_counts(VectorList(2, [(10**20, 1), (1, 0)]), 1, max_box=10**20)
 
 
 class TestFindPositiveFunctional:
