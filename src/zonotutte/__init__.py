@@ -15,7 +15,6 @@ from .errors import (
     DegreeMismatch,
     DegreeTooHigh,
     DimensionDeficient,
-    EliminationTooLarge,
     ListTooLarge,
     RankDeficient,
     UnboundedCone,
@@ -76,7 +75,6 @@ __all__ = [
     "DegreeTooHigh",
     "DimensionDeficient",
     "EhrhartResult",
-    "EliminationTooLarge",
     "HRep",
     "IntMatrix",
     "ListTooLarge",

@@ -42,11 +42,10 @@ from .ehrhart import (
 from .errors import (
     BoxTooLarge,
     DimensionDeficient,
-    EliminationTooLarge,
     ListTooLarge,
 )
 from .exact_linalg import VectorList
-from .geometry_oracle import MAX_BOX_POINTS, MAX_ELIM_VARS, closed_open_counts
+from .geometry_oracle import MAX_BOX_POINTS, closed_open_counts
 from .polynomials import (
     UniPoly,
     bipoly_from_json,
@@ -278,9 +277,7 @@ def _cmd_verify(X: VectorList, args) -> dict:
         counts: dict[int, tuple[int, int]] = {}
         for q in [*q_list, 1]:
             if q not in counts:
-                counts[q] = closed_open_counts(
-                    X, q, max_box=args.max_box, max_elim_vars=args.max_elim_vars
-                )
+                counts[q] = closed_open_counts(X, q, max_box=args.max_box)
         for q in q_list:
             closed, opened = counts[q]
             record(f"closed_count_q{q}", str(int(E_theorem.evaluate(q))), str(closed))
@@ -425,13 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=f"bounding-box point cap for the oracle (default {MAX_BOX_POINTS})",
     )
-    p_verify.add_argument(
-        "--max-elim-vars",
-        type=int,
-        default=MAX_ELIM_VARS,
-        metavar="N",
-        help=f"variable cap for exact elimination (default {MAX_ELIM_VARS})",
-    )
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -493,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         except DimensionDeficient as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DIMENSION
-        except (ListTooLarge, EliminationTooLarge, BoxTooLarge) as exc:
+        except (ListTooLarge, BoxTooLarge) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAP
         if args.timing:

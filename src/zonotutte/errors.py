@@ -25,10 +25,6 @@ class DegreeMismatch(ZonotutteError):
     """A univariate polynomial does not have the expected degree."""
 
 
-class EliminationTooLarge(ZonotutteError):
-    """The list exceeds the configured variable-elimination cap."""
-
-
 class BoxTooLarge(ZonotutteError):
     """The bounding box exceeds the configured enumeration cap."""
 

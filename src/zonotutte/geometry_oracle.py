@@ -1,11 +1,11 @@
 """Brute-force geometric verification, independent of the polynomial side.
 
-The zonotope of a list X in Z^n, scaled by a positive integer q, is the
-projection of a box: { p : p = sum_i t_i (q x_i), 0 <= t_i <= 1 }.  This
-module obtains an inequality description of that projection by exact
-rational Fourier-Motzkin elimination of the t variables, then counts the
-lattice points of the coordinate bounding box that satisfy the
-inequalities (closed) or satisfy them strictly (interior).
+The zonotope of a list X in Z^n, scaled by a positive integer q, is
+q Z(X) = { sum_i t_i (q x_i) : 0 <= t_i <= 1 }.  This module reads its
+facets off the generators, one pair of opposite facets per hyperplane
+spanned by n - 1 of them (zonotope_hrep), then counts the lattice points
+of the coordinate bounding box that satisfy the inequalities (closed) or
+satisfy them strictly (interior).
 
 Why strictness against possibly redundant inequalities classifies interiors
 correctly: the zonotope here is full-dimensional (rank X = n), so any valid
@@ -19,6 +19,9 @@ exact Python integers: each row c.p <= d bounds a line's interval of
 integers by one floor division, or keeps or drops the whole line where c
 is 0 on that axis.  Interior points take the same walk with every offset
 lowered by 1, since c.p < d is c.p <= d - 1 on integer points.
+
+Exact rational Fourier-Motzkin elimination (_reduce_rows, _eliminate_var)
+serves only find_positive_functional, which decides a strict linear system.
 """
 
 from __future__ import annotations
@@ -27,14 +30,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from operator import floordiv, sub
 from typing import Iterable, Sequence
 
 from . import exact_linalg
-from .errors import BoxTooLarge, EliminationTooLarge, UnboundedCone
-from .exact_linalg import VectorList
+from .errors import BoxTooLarge, UnboundedCone
+from .exact_linalg import VectorList, _bareiss
 
-MAX_ELIM_VARS = 12
 MAX_BOX_POINTS = 10_000_000
 MAX_BRUTE_FORCE_DIM = 4
 
@@ -56,10 +59,10 @@ class CountMode(Enum):
 class HRep:
     """Inequality description normal . p <= offset of a rational polytope.
 
-    Rows are normalized to primitive integer form (gcd of the numerator
-    data is 1) and sorted, so equal polytopes built the same way compare
-    equal.  Redundant valid rows are harmless for classification (module
-    docstring); zonotope_hrep nevertheless emits the facet description.
+    Rows are normalized to primitive integer form (gcd of the normal is 1)
+    and sorted, so equal polytopes compare equal.  Redundant valid rows are
+    harmless for classification (module docstring); zonotope_hrep
+    nevertheless emits exactly the facets.
     """
 
     dim: int
@@ -107,122 +110,41 @@ def _eliminate_var(rows: Sequence[Row], k: int) -> list[Row]:
     return _reduce_rows(out)
 
 
-def _prune_projection_rows(
-    rows: Sequence[Row],
-    scaled: Sequence[tuple[int, ...]],
-    m: int,
-    eliminated: frozenset[int],
-) -> list[Row]:
-    """Drop rows that are redundant for the partially projected body.
+def zonotope_hrep(X: VectorList, q: int) -> HRep:
+    """Facet description of the q-fold dilated zonotope of X.
 
-    After eliminating the box variables in `eliminated`, the remaining
-    system describes the image B of the unit cube under the linear map
-    t -> (t_rest, sum_i t_i g_i) with g_i the scaled generators.  Pulled
-    back to the cube, a row (c, d) reads w . t <= d with
-    w_i = c_i + c_p . g_i, so its exact support is sum_i max(0, w_i) and
-    the face it touches has dimension
-
-        |{i not eliminated : w_i = 0}| + rank{g_i : i eliminated, w_i = 0}.
-
-    Rows are kept only when they are tight and touch a face of dimension
-    >= dim(B) - 1: that retains every facet and every equality-type row,
-    which together still describe B exactly, and it is what keeps the
-    elimination from the usual combinatorial row explosion.
-    """
-    rank_cache: dict[frozenset[int], int] = {}
-
-    def rank_of(indices: frozenset[int]) -> int:
-        cached = rank_cache.get(indices)
-        if cached is None:
-            cached = len(exact_linalg.span(scaled[i] for i in indices))
-            rank_cache[indices] = cached
-        return cached
-
-    body_dim = (m - len(eliminated)) + rank_of(eliminated)
-    kept: list[Row] = []
-    for coeffs, rhs in rows:
-        cp = coeffs[m:]
-        support = 0
-        rest_free = 0
-        elim_free = []
-        for i in range(m):
-            w = coeffs[i] + sum(c * g for c, g in zip(cp, scaled[i]))
-            if w > 0:
-                support += w
-            elif w == 0:
-                if i in eliminated:
-                    elim_free.append(i)
-                else:
-                    rest_free += 1
-        if rhs < support:
-            raise AssertionError("elimination produced an invalid inequality")
-        if rhs > support:
-            continue
-        needed = body_dim - 1 - rest_free
-        if needed > 0:
-            if len(elim_free) < needed or rank_of(frozenset(elim_free)) < needed:
-                continue
-        kept.append((coeffs, rhs))
-    return kept
-
-
-def zonotope_hrep(X: VectorList, q: int, *, max_elim_vars: int = MAX_ELIM_VARS) -> HRep:
-    """Inequality description of the q-fold dilated zonotope of X.
-
-    Runs exact Fourier-Motzkin elimination of the box variables from
-    { p = sum t_i (q x_i), 0 <= t_i <= 1 }, pruning rows that are
-    provably redundant for the partially projected body after every
-    step (see _prune_projection_rows).  The result is the facet
-    description of the dilated zonotope.
+    Every facet of a full-dimensional zonotope is parallel to a hyperplane
+    spanned by n - 1 of its generators, and each such hyperplane carries
+    two opposite facets (Shephard 1974, McMullen 1971).  For each
+    (n - 1)-subset of X the normal c is the vector of signed
+    (n - 1) x (n - 1) minors, so c . v is the determinant of v followed
+    by the subset; subsets of rank < n - 1 give c = 0 and are skipped.
+    c is divided by the gcd of its entries, and the facet on the side of c
+    has offset q * sum_i max(0, c . x_i).
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
-    n, m = X.dim, len(X)
+    n = X.dim
     exact_linalg.check_full_rank(X)
-    if m > max_elim_vars:
-        raise EliminationTooLarge(
-            f"list has {m} vectors; elimination cap is {max_elim_vars}"
-        )
 
-    width = m + n
-    scaled = [tuple(q * x for x in v) for v in X.vectors]
-    rows: list[Row] = []
-    for i in range(m):
-        unit = tuple(1 if k == i else 0 for k in range(width))
-        rows.append((unit, 1))
-        rows.append((tuple(-c for c in unit), 0))
-    for j in range(n):
-        coeffs = [0] * width
-        for i in range(m):
-            coeffs[i] = -scaled[i][j]
-        coeffs[m + j] = 1
-        rows.append((tuple(coeffs), 0))
-        rows.append((tuple(-c for c in coeffs), 0))
+    normals: set[tuple[int, ...]] = set()
+    # n = 1 takes the empty subset, whose empty minor 1 gives the normals +-1;
+    # n = 0 takes it too and gets the empty description
+    for subset in combinations(X.vectors, max(n - 1, 0)):
+        c = [
+            (-1) ** j * _bareiss([[v[i] for v in subset] for i in range(n) if i != j])
+            for j in range(n)
+        ]
+        g = math.gcd(*c)
+        if g:
+            normal = tuple(x // g for x in c)
+            normals.add(normal)
+            normals.add(tuple(-x for x in normal))
 
-    try:
-        rows = _reduce_rows(rows)
-        remaining = set(range(m))
-        eliminated: set[int] = set()
-        while remaining:
-            def elimination_cost(k: int) -> tuple[int, int]:
-                p = sum(1 for row in rows if row[0][k] > 0)
-                neg = sum(1 for row in rows if row[0][k] < 0)
-                return (p * neg - p - neg, k)
-
-            k = min(remaining, key=elimination_cost)
-            rows = _eliminate_var(rows, k)
-            remaining.discard(k)
-            eliminated.add(k)
-            rows = _prune_projection_rows(rows, scaled, m, frozenset(eliminated))
-    except _Infeasible as exc:  # the box is nonempty, so this cannot happen
-        raise AssertionError("elimination reported an empty zonotope") from exc
-
-    inequalities: list[tuple[tuple[int, ...], int]] = []
-    for coeffs, rhs in rows:
-        if any(coeffs[:m]):
-            raise AssertionError("projection left a box variable behind")
-        inequalities.append((coeffs[m:], rhs))
-    inequalities.sort()
+    inequalities = sorted(
+        (c, q * sum(max(0, sum(a * x for a, x in zip(c, v))) for v in X.vectors))
+        for c in normals
+    )
     return HRep(dim=n, inequalities=tuple(inequalities))
 
 
@@ -288,7 +210,6 @@ def closed_open_counts(
     q: int,
     *,
     max_box: int = MAX_BOX_POINTS,
-    max_elim_vars: int = MAX_ELIM_VARS,
 ) -> tuple[int, int]:
     """Count lattice points of the dilated zonotope: (closed hull, interior).
 
@@ -307,7 +228,7 @@ def closed_open_counts(
     box_points = math.prod(hi - lo + 1 for lo, hi in ranges)
     if box_points > max_box:
         raise BoxTooLarge(f"bounding box holds {box_points} points; cap is {max_box}")
-    H = zonotope_hrep(X, q, max_elim_vars=max_elim_vars)
+    H = zonotope_hrep(X, q)
     return (
         _count_below(H.inequalities, ranges),
         _count_below([(c, d - 1) for c, d in H.inequalities], ranges),
@@ -320,13 +241,11 @@ def brute_force_count(
     mode: CountMode,
     *,
     max_box: int = MAX_BOX_POINTS,
-    max_elim_vars: int = MAX_ELIM_VARS,
 ) -> int:
     """Number of lattice points in the dilated zonotope (CLOSED) or its
-    interior (OPEN), counted line by line over the bounding box."""
-    closed, opened = closed_open_counts(
-        X, q, max_box=max_box, max_elim_vars=max_elim_vars
-    )
+    interior (OPEN), counted line by line over the bounding box against the
+    facets of zonotope_hrep."""
+    closed, opened = closed_open_counts(X, q, max_box=max_box)
     return closed if mode is CountMode.CLOSED else opened
 
 

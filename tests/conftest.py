@@ -4,9 +4,17 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from zonotutte import VectorList, determinant, rank
 from zonotutte.exact_linalg import IntMatrix
+
+# hypothesis entries for big-integer tests: near +-10^20, or small
+NEAR_1E20 = st.one_of(
+    st.integers(10**20 - 3, 10**20 + 3),
+    st.integers(-(10**20) - 3, -(10**20) + 3),
+    st.integers(-2, 2),
+)
 
 
 def random_full_rank_list(rng, n, max_size=6, bound=5):

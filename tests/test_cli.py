@@ -157,6 +157,17 @@ class TestVerifyCommand:
         ehrhart = report["results"]["ehrhart"]["terms"]
         assert ehrhart == [{"i": 2, "c": "8"}, {"i": 1, "c": "5"}, {"i": 0, "c": "1"}]
 
+    def test_oracle_on_fourteen_vectors(self, capsys):
+        vectors = ";".join(f"{k % 3 - 1},{k % 4 - 1}" for k in range(14))
+        code, out, _ = run_cli(
+            capsys, "verify", "--vectors", vectors, "--q-list", "1,2", "--oracle"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["input"]["vectors"]) == 14
+        assert "closed_count_q2" in {c["identity"] for c in report["checks"]}
+        assert all(check["pass"] for check in report["checks"])
+
 
     def test_oracle_work_is_not_repeated(self, capsys, monkeypatch):
         import zonotutte.cli as cli

@@ -3,12 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zonotutte import (
     BoxTooLarge,
     CountMode,
     DimensionDeficient,
-    EliminationTooLarge,
     HRep,
     PointClass,
     UnboundedCone,
@@ -21,15 +22,36 @@ from zonotutte import (
     find_positive_functional,
     interior_polynomial,
     partition_function,
+    rank,
     zonotope_hrep,
 )
 from zonotutte.geometry_oracle import _box_ranges
 
-from conftest import random_full_rank_list
-from oracle_reference import reference_counts
+from conftest import NEAR_1E20, random_full_rank_list
+from oracle_reference import reference_counts, reference_hrep
 
 WORKED = VectorList(2, [(3, 0), (0, 2), (1, 1)])
 UNIT_SQUARE = VectorList(2, [(1, 0), (0, 1)])
+
+
+@st.composite
+def dilated_lists(draw, entries=st.integers(-10**3, 10**3)):
+    """(X, q): X full rank in Z^n, n in 1..4, |X| <= 8 (7 at n = 4), with
+    zero, repeated and parallel vectors; q in 1..3."""
+    n = draw(st.integers(1, 4))
+    max_size = 7 if n == 4 else 8
+    base = draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=max_size))
+    # a pick (i, k) is k times base vector i; k = 0 is the zero vector
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(base) - 1), st.sampled_from((1, 1, -1, 2, 0))),
+            min_size=n,
+            max_size=max_size,
+        )
+    )
+    X = VectorList(n, [tuple(k * x for x in base[i]) for i, k in picks])
+    assume(rank(X) == n)
+    return X, draw(st.integers(1, 3))
 
 
 def points_of(H, ranges):
@@ -82,9 +104,17 @@ class TestZonotopeHrep:
         with pytest.raises(DimensionDeficient):
             zonotope_hrep(VectorList(2, [(1, 0)]), 1)
 
-    def test_elimination_cap(self):
-        with pytest.raises(EliminationTooLarge):
-            zonotope_hrep(WORKED, 1, max_elim_vars=2)
+    @settings(max_examples=40, deadline=None)
+    @given(dilated_lists())
+    def test_matches_fourier_motzkin_reference(self, case):
+        X, q = case
+        assert zonotope_hrep(X, q) == reference_hrep(X, q)
+
+    @settings(max_examples=8, deadline=None)
+    @given(dilated_lists(entries=NEAR_1E20))
+    def test_matches_reference_near_1e20(self, case):
+        X, q = case
+        assert zonotope_hrep(X, q) == reference_hrep(X, q)
 
     def test_dilation_scales_hrep(self, small_corpus):
         for X in small_corpus[:8]:

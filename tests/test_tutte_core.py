@@ -17,7 +17,7 @@ from zonotutte import (
     multiplicity_tutte,
     rank,
 )
-from conftest import random_unimodular_list
+from conftest import NEAR_1E20, random_unimodular_list
 from tutte_reference import reference_tutte_sums
 
 WORKED = VectorList(2, [(3, 0), (0, 2), (1, 1)])
@@ -155,13 +155,6 @@ def spanning_lists(draw, entries=st.integers(-10**3, 10**3), max_size=9):
     X = VectorList(n, vectors)
     assume(rank(X) == n)
     return X
-
-
-NEAR_1E20 = st.one_of(
-    st.integers(10**20 - 3, 10**20 + 3),
-    st.integers(-(10**20) - 3, -(10**20) + 3),
-    st.integers(-2, 2),
-)
 
 
 class TestAgainstSublistEnumeration:
