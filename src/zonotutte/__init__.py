@@ -58,9 +58,7 @@ from .ehrhart import (
 from .geometry_oracle import (
     CountMode,
     HRep,
-    PointClass,
     brute_force_count,
-    classify_point,
     closed_open_counts,
     find_positive_functional,
     partition_function,
@@ -78,7 +76,6 @@ __all__ = [
     "HRep",
     "IntMatrix",
     "ListTooLarge",
-    "PointClass",
     "RankDeficient",
     "TutteResult",
     "UnboundedCone",
@@ -90,7 +87,6 @@ __all__ = [
     "brute_force_count",
     "check_dilation_identity",
     "classical_tutte",
-    "classify_point",
     "closed_open_counts",
     "determinant",
     "dilate_list",

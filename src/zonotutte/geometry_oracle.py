@@ -20,8 +20,11 @@ integers by one floor division, or keeps or drops the whole line where c
 is 0 on that axis.  Interior points take the same walk with every offset
 lowered by 1, since c.p < d is c.p <= d - 1 on integer points.
 
-Exact rational Fourier-Motzkin elimination (_reduce_rows, _eliminate_var)
-serves only find_positive_functional, which decides a strict linear system.
+The same hyperplane normals decide whether some functional is strictly
+positive on a list (find_positive_functional): on the pivot coordinates of
+the list's span, every extreme ray of the dual cone { c : c.x >= 0 } is
+such a normal up to sign, so the sum of the signed normals inside that
+cone is strictly positive on the list whenever any functional is.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from operator import floordiv, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import exact_linalg
 from .errors import BoxTooLarge, UnboundedCone
@@ -42,12 +44,6 @@ MAX_BOX_POINTS = 10_000_000
 MAX_BRUTE_FORCE_DIM = 4
 
 Row = tuple[tuple[int, ...], int]  # coeffs . v <= rhs
-
-
-class PointClass(Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
 
 
 class CountMode(Enum):
@@ -69,45 +65,26 @@ class HRep:
     inequalities: tuple[tuple[tuple[int, ...], int], ...]
 
 
-class _Infeasible(Exception):
-    """Internal marker: elimination derived 0 <= negative."""
+def _normals(vectors: Sequence[Sequence[int]], n: int) -> set[tuple[int, ...]]:
+    """Primitive normals of the hyperplanes of Z^n spanned by n - 1 of the
+    vectors, each with the sign its subset gives.
 
-
-def _reduce_rows(rows: Iterable[Row]) -> list[Row]:
-    """Normalize rows by their gcd, drop trivial ones, keep the tightest of
-    any parallel family.  Raises _Infeasible on an all-zero row with a
-    negative right-hand side."""
-    best: dict[tuple[int, ...], Fraction] = {}
-    for coeffs, rhs in rows:
-        if not any(coeffs):
-            if rhs < 0:
-                raise _Infeasible
-            continue
-        g = math.gcd(*(abs(c) for c in coeffs))
-        key = tuple(c // g for c in coeffs)
-        bound = Fraction(rhs, g)
-        prev = best.get(key)
-        if prev is None or bound < prev:
-            best[key] = bound
-    out: list[Row] = []
-    for key, bound in best.items():
-        den = bound.denominator
-        out.append((tuple(c * den for c in key), bound.numerator))
-    return out
-
-
-def _eliminate_var(rows: Sequence[Row], k: int) -> list[Row]:
-    """One Fourier-Motzkin step: project away variable k."""
-    pos = [r for r in rows if r[0][k] > 0]
-    neg = [r for r in rows if r[0][k] < 0]
-    out = [r for r in rows if r[0][k] == 0]
-    for cp, dp in pos:
-        a = cp[k]
-        for cn, dn in neg:
-            b = cn[k]
-            coeffs = tuple(a * cn[i] - b * cp[i] for i in range(len(cp)))
-            out.append((coeffs, a * dn - b * dp))
-    return _reduce_rows(out)
+    Each (n - 1)-subset's normal c is its vector of signed
+    (n - 1) x (n - 1) minors, so c . v is the determinant of v followed by
+    the subset; subsets of rank < n - 1 give c = 0 and are skipped.  n = 1
+    takes the empty subset, whose empty minor 1 gives the normal (1,); n = 0
+    takes it too and gets no normal.
+    """
+    normals: set[tuple[int, ...]] = set()
+    for subset in combinations(vectors, max(n - 1, 0)):
+        c = [
+            (-1) ** j * _bareiss([[v[i] for v in subset] for i in range(n) if i != j])
+            for j in range(n)
+        ]
+        g = math.gcd(*c)
+        if g:
+            normals.add(tuple(x // g for x in c))
+    return normals
 
 
 def zonotope_hrep(X: VectorList, q: int) -> HRep:
@@ -115,51 +92,23 @@ def zonotope_hrep(X: VectorList, q: int) -> HRep:
 
     Every facet of a full-dimensional zonotope is parallel to a hyperplane
     spanned by n - 1 of its generators, and each such hyperplane carries
-    two opposite facets (Shephard 1974, McMullen 1971).  For each
-    (n - 1)-subset of X the normal c is the vector of signed
-    (n - 1) x (n - 1) minors, so c . v is the determinant of v followed
-    by the subset; subsets of rank < n - 1 give c = 0 and are skipped.
-    c is divided by the gcd of its entries, and the facet on the side of c
-    has offset q * sum_i max(0, c . x_i).
+    two opposite facets (Shephard 1974, McMullen 1971).  _normals gives
+    a primitive normal c of each such hyperplane; c and -c are both kept,
+    and the facet on the side of c has offset q * sum_i max(0, c . x_i).
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
     n = X.dim
     exact_linalg.check_full_rank(X)
 
-    normals: set[tuple[int, ...]] = set()
-    # n = 1 takes the empty subset, whose empty minor 1 gives the normals +-1;
-    # n = 0 takes it too and gets the empty description
-    for subset in combinations(X.vectors, max(n - 1, 0)):
-        c = [
-            (-1) ** j * _bareiss([[v[i] for v in subset] for i in range(n) if i != j])
-            for j in range(n)
-        ]
-        g = math.gcd(*c)
-        if g:
-            normal = tuple(x // g for x in c)
-            normals.add(normal)
-            normals.add(tuple(-x for x in normal))
+    normals = _normals(X.vectors, n)
+    normals |= {tuple(-x for x in c) for c in normals}
 
     inequalities = sorted(
         (c, q * sum(max(0, sum(a * x for a, x in zip(c, v))) for v in X.vectors))
         for c in normals
     )
     return HRep(dim=n, inequalities=tuple(inequalities))
-
-
-def classify_point(H: HRep, point: Sequence[int]) -> PointClass:
-    """Trichotomy of an integer point against an inequality description."""
-    if not H.inequalities:
-        raise ValueError("cannot classify against an empty H-representation")
-    tight = False
-    for normal, rhs in H.inequalities:
-        s = sum(c * x for c, x in zip(normal, point))
-        if s > rhs:
-            return PointClass.OUTSIDE
-        if s == rhs:
-            tight = True
-    return PointClass.BOUNDARY if tight else PointClass.INTERIOR
 
 
 def _box_ranges(X: VectorList, q: int) -> list[tuple[int, int]]:
@@ -249,61 +198,35 @@ def brute_force_count(
     return closed if mode is CountMode.CLOSED else opened
 
 
-def find_positive_functional(X: VectorList) -> tuple[Fraction, ...] | None:
-    """A rational c with c . a > 0 for every vector a of X, or None.
+def find_positive_functional(X: VectorList) -> tuple[int, ...] | None:
+    """An integer c with c . a > 0 for every vector a of X, or None.
 
-    The strict system is solvable iff { c : a . c >= 1 for all a } is
-    nonempty, which is decided exactly by Fourier-Motzkin elimination with
-    back-substitution.  The empty list returns the first unit vector
-    (vacuous condition); any list containing a zero vector returns None.
+    X is projected onto the pivot coordinates of its span, which is
+    injective on the span, so the projected list spans Q^r.  The dual cone
+    { c : c . y >= 0 } is then pointed, and each of its extreme rays is
+    tight on r - 1 independent vectors: it is c or -c for a _normals entry
+    c.  The sum of the signed normals that lie in the cone is therefore
+    interior to it, and strictly positive on X exactly when some functional
+    is.  The sum is lifted back with zeros off the pivot coordinates.  The
+    empty list returns the first unit vector (vacuous condition); a zero
+    vector gives None.
     """
     n = X.dim
     if len(X) == 0:
-        return tuple(Fraction(1 if j == 0 else 0) for j in range(n))
-    if any(not any(v) for v in X.vectors):
+        return tuple(1 if j == 0 else 0 for j in range(n))
+    pivots = [exact_linalg._leading(row) for row in exact_linalg.span(X.vectors)]
+    projected = [tuple(v[j] for j in pivots) for v in X.vectors]
+    total = [0] * len(pivots)
+    for normal in _normals(projected, len(pivots)):
+        for c in (normal, tuple(-x for x in normal)):
+            if all(sum(a * y for a, y in zip(c, v)) >= 0 for v in projected):
+                total = [a + b for a, b in zip(total, c)]
+    lifted = [0] * n
+    for j, t in zip(pivots, total):
+        lifted[j] = t
+    if any(sum(a * x for a, x in zip(lifted, v)) <= 0 for v in X.vectors):
         return None
-
-    rows: list[Row] = [(tuple(-x for x in v), -1) for v in X.vectors]
-    systems: list[list[Row]] = [[] for _ in range(n)]
-    try:
-        current = _reduce_rows(rows)
-        systems[n - 1] = current
-        for k in range(n - 1, 0, -1):
-            current = _eliminate_var(current, k)
-            systems[k - 1] = current
-        # eliminating the last variable turns any contradiction into an
-        # explicit 0 <= negative row; feasibility is decided here
-        _eliminate_var(current, 0)
-    except _Infeasible:
-        return None
-
-    point: list[Fraction] = []
-    for k in range(n):
-        lower = upper = None
-        for coeffs, rhs in systems[k]:
-            ck = coeffs[k]
-            if ck == 0:
-                continue
-            bound = Fraction(rhs - sum(c * v for c, v in zip(coeffs, point)), ck)
-            if ck > 0:
-                upper = bound if upper is None else min(upper, bound)
-            else:
-                lower = bound if lower is None else max(lower, bound)
-        if lower is not None and upper is not None:
-            value = (lower + upper) / 2
-        elif lower is not None:
-            value = lower
-        elif upper is not None:
-            value = upper
-        else:
-            value = Fraction(0)
-        point.append(value)
-
-    result = tuple(point)
-    for v in X.vectors:
-        if sum(c * x for c, x in zip(result, v)) <= 0:
-            raise AssertionError("back-substitution produced an invalid functional")
-    return result
+    return tuple(lifted)
 
 
 def _solutions_single(vector: tuple[int, ...], target: Sequence[int]) -> int:
@@ -323,10 +246,11 @@ def partition_function(X: VectorList, target: Sequence[int]) -> int:
     combination of the list vectors.
 
     Finiteness requires a functional that is strictly positive on every
-    vector; the search is a depth-first enumeration pruned by the bound
-    x_a <= (c . target) / (c . a) for that functional c.
+    vector; the search is a depth-first enumeration pruned by the integer
+    bound x_a <= (c . target) // (c . a) for the integer functional c of
+    find_positive_functional.  Target entries must be integers.
     """
-    lam = tuple(int(t) for t in target)
+    lam = tuple(exact_linalg._check_int(t) for t in target)
     if len(lam) != X.dim:
         raise ValueError(f"target has length {len(lam)}, expected {X.dim}")
     functional = find_positive_functional(X)
@@ -339,7 +263,7 @@ def partition_function(X: VectorList, target: Sequence[int]) -> int:
     weights = [sum(c * x for c, x in zip(functional, v)) for v in vectors]
     last = len(vectors) - 1
 
-    def search(remaining: tuple[int, ...], budget: Fraction, idx: int) -> int:
+    def search(remaining: tuple[int, ...], budget: int, idx: int) -> int:
         if idx == last:
             return _solutions_single(vectors[idx], remaining)
         w = weights[idx]
@@ -359,4 +283,4 @@ def partition_function(X: VectorList, target: Sequence[int]) -> int:
     budget = sum(c * t for c, t in zip(functional, lam))
     if budget < 0:
         return 0
-    return search(lam, Fraction(budget), 0)
+    return search(lam, budget, 0)

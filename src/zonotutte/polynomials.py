@@ -40,9 +40,6 @@ class BiPoly:
                 clean[(int(i), int(j))] = c
         self._terms = clean
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
-
     def coefficient(self, i: int, j: int) -> int:
         return self._terms.get((i, j), 0)
 
@@ -66,9 +63,6 @@ class BiPoly:
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c
         return BiPoly(out)
-
-    def scale(self, k: int) -> "BiPoly":
-        return BiPoly({key: k * c for key, c in self._terms.items()})
 
     def times_monomial(self, di: int, dj: int) -> "BiPoly":
         """Multiply by x^di * y^dj."""
@@ -128,26 +122,8 @@ class UniPoly:
             return self._coeffs[k]
         return 0
 
-    def leading_coefficient(self) -> int:
-        return self._coeffs[-1] if self._coeffs else 0
-
     def constant_term(self) -> int:
         return self._coeffs[0] if self._coeffs else 0
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        size = max(len(self._coeffs), len(other._coeffs))
-        return UniPoly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(size)]
-        )
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        size = max(len(self._coeffs), len(other._coeffs))
-        return UniPoly(
-            [self.coefficient(k) - other.coefficient(k) for k in range(size)]
-        )
 
     def scale(self, k: int) -> "UniPoly":
         return UniPoly([k * c for c in self._coeffs])

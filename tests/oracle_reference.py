@@ -1,5 +1,5 @@
-"""Test-only references for the oracle: Fourier-Motzkin facets and a
-point-by-point count.
+"""Test-only references for the oracle: Fourier-Motzkin facets, a
+point-by-point count and a Fourier-Motzkin positive-functional search.
 
 reference_hrep projects the box { (t, p) : p = sum t_i (q x_i),
 0 <= t_i <= 1 } onto p by exact Fourier-Motzkin elimination of the t
@@ -8,16 +8,84 @@ body after every step.  It shares no minor or facet formula with
 zonotope_hrep.
 
 reference_counts classifies every integer point of the coordinate bounding
-box on its own against reference_hrep.  No line structure and no floor
-division is used, so it is independent of both halves of the oracle's
-count: the facets of zonotope_hrep and the line walk of closed_open_counts.
+box on its own against reference_hrep, with its own classify_point.  No
+line structure and no floor division is used, so it is independent of
+both halves of the oracle's count: the facets of zonotope_hrep and the
+line walk of closed_open_counts.
+
+reference_positive_functional decides the strict system c . a > 0 by the
+same elimination with back-substitution, sharing no minor formula with
+find_positive_functional.
 """
 
+import math
+from enum import Enum
+from fractions import Fraction
 from itertools import product
 
-from zonotutte import PointClass, classify_point
 from zonotutte.exact_linalg import span
-from zonotutte.geometry_oracle import HRep, _box_ranges, _eliminate_var, _reduce_rows
+from zonotutte.geometry_oracle import HRep, _box_ranges
+
+
+class PointClass(Enum):
+    INTERIOR = "interior"
+    BOUNDARY = "boundary"
+    OUTSIDE = "outside"
+
+
+def classify_point(H, point):
+    """Trichotomy of an integer point against an inequality description."""
+    if not H.inequalities:
+        raise ValueError("cannot classify against an empty H-representation")
+    tight = False
+    for normal, rhs in H.inequalities:
+        s = sum(c * x for c, x in zip(normal, point))
+        if s > rhs:
+            return PointClass.OUTSIDE
+        if s == rhs:
+            tight = True
+    return PointClass.BOUNDARY if tight else PointClass.INTERIOR
+
+
+class _Infeasible(Exception):
+    """Internal marker: elimination derived 0 <= negative."""
+
+
+def _reduce_rows(rows):
+    """Normalize rows (coeffs, rhs), meaning coeffs . v <= rhs, by their
+    gcd, drop trivial ones, keep the tightest of any parallel family.
+    Raises _Infeasible on an all-zero row with a negative right-hand side."""
+    best = {}
+    for coeffs, rhs in rows:
+        if not any(coeffs):
+            if rhs < 0:
+                raise _Infeasible
+            continue
+        g = math.gcd(*(abs(c) for c in coeffs))
+        key = tuple(c // g for c in coeffs)
+        bound = Fraction(rhs, g)
+        prev = best.get(key)
+        if prev is None or bound < prev:
+            best[key] = bound
+    out = []
+    for key, bound in best.items():
+        den = bound.denominator
+        out.append((tuple(c * den for c in key), bound.numerator))
+    return out
+
+
+def _eliminate_var(rows, k):
+    """One Fourier-Motzkin step: project away variable k."""
+    pos = [r for r in rows if r[0][k] > 0]
+    neg = [r for r in rows if r[0][k] < 0]
+    out = [r for r in rows if r[0][k] == 0]
+    for cp, dp in pos:
+        a = cp[k]
+        for cn, dn in neg:
+            b = cn[k]
+            coeffs = tuple(a * cn[i] - b * cp[i] for i in range(len(cp)))
+            out.append((coeffs, a * dn - b * dp))
+    return _reduce_rows(out)
 
 
 def _prune_projection_rows(rows, scaled, m, eliminated):
@@ -125,3 +193,60 @@ def reference_counts(X, q):
         if cls is PointClass.INTERIOR:
             opened += 1
     return closed, opened
+
+
+def reference_positive_functional(X):
+    """A rational c with c . a > 0 for every vector a of X, or None.
+
+    The strict system is solvable iff { c : a . c >= 1 for all a } is
+    nonempty, which Fourier-Motzkin elimination decides exactly; a point
+    of it is then built by back-substitution.  The empty list returns the
+    first unit vector; any list containing a zero vector returns None.
+    """
+    n = X.dim
+    if len(X) == 0:
+        return tuple(Fraction(1 if j == 0 else 0) for j in range(n))
+    if any(not any(v) for v in X.vectors):
+        return None
+
+    rows = [(tuple(-x for x in v), -1) for v in X.vectors]
+    systems = [[] for _ in range(n)]
+    try:
+        current = _reduce_rows(rows)
+        systems[n - 1] = current
+        for k in range(n - 1, 0, -1):
+            current = _eliminate_var(current, k)
+            systems[k - 1] = current
+        # eliminating the last variable turns any contradiction into an
+        # explicit 0 <= negative row; feasibility is decided here
+        _eliminate_var(current, 0)
+    except _Infeasible:
+        return None
+
+    point = []
+    for k in range(n):
+        lower = upper = None
+        for coeffs, rhs in systems[k]:
+            ck = coeffs[k]
+            if ck == 0:
+                continue
+            bound = Fraction(rhs - sum(c * v for c, v in zip(coeffs, point)), ck)
+            if ck > 0:
+                upper = bound if upper is None else min(upper, bound)
+            else:
+                lower = bound if lower is None else max(lower, bound)
+        if lower is not None and upper is not None:
+            value = (lower + upper) / 2
+        elif lower is not None:
+            value = lower
+        elif upper is not None:
+            value = upper
+        else:
+            value = Fraction(0)
+        point.append(value)
+
+    result = tuple(point)
+    for v in X.vectors:
+        if sum(c * x for c, x in zip(result, v)) <= 0:
+            raise AssertionError("back-substitution produced an invalid functional")
+    return result

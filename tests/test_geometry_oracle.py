@@ -11,11 +11,9 @@ from zonotutte import (
     CountMode,
     DimensionDeficient,
     HRep,
-    PointClass,
     UnboundedCone,
     VectorList,
     brute_force_count,
-    classify_point,
     closed_open_counts,
     dilate_list,
     ehrhart_via_independent_sets,
@@ -28,7 +26,13 @@ from zonotutte import (
 from zonotutte.geometry_oracle import _box_ranges
 
 from conftest import NEAR_1E20, random_full_rank_list
-from oracle_reference import reference_counts, reference_hrep
+from oracle_reference import (
+    PointClass,
+    classify_point,
+    reference_counts,
+    reference_hrep,
+    reference_positive_functional,
+)
 
 WORKED = VectorList(2, [(3, 0), (0, 2), (1, 1)])
 UNIT_SQUARE = VectorList(2, [(1, 0), (0, 1)])
@@ -52,6 +56,32 @@ def dilated_lists(draw, entries=st.integers(-10**3, 10**3)):
     X = VectorList(n, [tuple(k * x for x in base[i]) for i, k in picks])
     assume(rank(X) == n)
     return X, draw(st.integers(1, 3))
+
+
+@st.composite
+def functional_lists(draw):
+    """X in Z^n, n in 1..4, |X| in 0..8, rank anywhere from 0 to n: each
+    vector is k * b_i + l * b_j for drawn base vectors b (1 to n of them,
+    so a line or a plane when few), k in {1, -1, 2, 0} and l in {0, -1, 1},
+    giving zero, repeated, negated and parallel vectors; entries up to
+    10^3 or near +-10^20."""
+    n = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-10**3, 10**3), NEAR_1E20)
+    size = draw(st.integers(1, n))
+    base = draw(st.lists(st.tuples(*[entries] * n), min_size=size, max_size=size))
+    index = st.integers(0, len(base) - 1)
+    picks = draw(
+        st.lists(
+            st.tuples(
+                index, st.sampled_from((1, 1, -1, 2, 0)), index, st.sampled_from((0, 0, -1, 1))
+            ),
+            max_size=8,
+        )
+    )
+    return VectorList(
+        n,
+        [tuple(k * x + l * y for x, y in zip(base[i], base[j])) for i, k, j, l in picks],
+    )
 
 
 def points_of(H, ranges):
@@ -294,6 +324,16 @@ class TestFindPositiveFunctional:
                     assert sum(ci * x for ci, x in zip(c, v)) > 0
         assert found > 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(functional_lists())
+    def test_matches_fourier_motzkin_reference(self, X):
+        c = find_positive_functional(X)
+        assert (c is None) == (reference_positive_functional(X) is None)
+        if c is not None:
+            assert all(type(ci) is int for ci in c)
+            for v in X.vectors:
+                assert sum(ci * x for ci, x in zip(c, v)) > 0
+
 
 class TestPartitionFunction:
     def test_two_steps(self):
@@ -343,3 +383,9 @@ class TestPartitionFunction:
     def test_empty_list(self):
         assert partition_function(VectorList(2, []), (0, 0)) == 1
         assert partition_function(VectorList(2, []), (1, 0)) == 0
+
+    def test_rejects_non_integer_targets(self):
+        X = VectorList(1, [(1,), (2,)])
+        for target in ((4.9,), ("4",), (True,)):
+            with pytest.raises(TypeError):
+                partition_function(X, target)
