@@ -34,7 +34,6 @@ from .polynomials import (
     bipoly_from_json,
     bipoly_to_json,
     expand_shifted_basis,
-    negate_argument,
     reverse_coefficients,
     unipoly_from_json,
     unipoly_to_json,
@@ -100,7 +99,6 @@ __all__ = [
     "interior_polynomial",
     "multiplicity",
     "multiplicity_tutte",
-    "negate_argument",
     "partition_function",
     "rank",
     "reverse_coefficients",

@@ -47,11 +47,11 @@ from .errors import (
 from .exact_linalg import VectorList
 from .geometry_oracle import MAX_BOX_POINTS, closed_open_counts
 from .polynomials import (
+    BiPoly,
     UniPoly,
     bipoly_from_json,
     bipoly_to_json,
     format_bipoly,
-    format_shifted,
     format_unipoly,
     reverse_coefficients,
     unipoly_from_json,
@@ -168,16 +168,7 @@ def _cmd_tutte(X: VectorList, args) -> dict:
         "results": {
             "kind": "classical" if args.classical else "multiplicity",
             "monomial": bipoly_to_json(result.polynomial),
-            "shifted": {
-                "vars": ["x-1", "y-1"],
-                "terms": [
-                    {"i": i, "j": j, "c": str(c)}
-                    for (i, j), c in sorted(
-                        result.shifted_terms.items(), key=lambda t: (-t[0][0], -t[0][1])
-                    )
-                    if c
-                ],
-            },
+            "shifted": bipoly_to_json(BiPoly(result.shifted_terms), ("x-1", "y-1")),
             "is_unimodular": result.is_unimodular,
         },
     }
@@ -205,10 +196,7 @@ def _scalar_report(X: VectorList, args, command: str) -> dict:
     else:
         q = args.q
         poly = summary.ehrhart if command == "count" else summary.interior
-        exact = poly.evaluate(q)
-        if exact.denominator != 1:
-            raise AssertionError(f"{command} polynomial at q={q} gave {exact}")
-        value = int(exact)
+        value = poly.evaluate(q)
         if command == "count":
             method = "q^n M_X(1+1/q, 1); at q=1 this is M_X(2,1)"
         else:
@@ -249,8 +237,10 @@ def _cmd_verify(X: VectorList, args) -> dict:
         lhs, rhs = dilation_identity_sides(X, q, max_list_size=args.max_subsets, base=M)
         record(f"dilation_identity_q{q}", format_bipoly(lhs), format_bipoly(rhs))
 
-    # interior specialization: alternating-sign reversal of the shifted
-    # coefficients must reproduce (-1)^n E(-q)
+    # E and I are read off M's shifted coefficients; the checks below read
+    # them again from the monomial form M.polynomial, as M(t+1, 1) and
+    # M(1, 1).  The alternating-sign reversal of M(t+1, 1) must reproduce
+    # (-1)^n E(-q)
     shifted_y1 = M.polynomial.specialize_y(1).taylor_shift(1)
     alternating = UniPoly(
         [(-1) ** k * c for k, c in enumerate(shifted_y1.coefficients)]
@@ -280,8 +270,8 @@ def _cmd_verify(X: VectorList, args) -> dict:
                 counts[q] = closed_open_counts(X, q, max_box=args.max_box)
         for q in q_list:
             closed, opened = counts[q]
-            record(f"closed_count_q{q}", str(int(E_theorem.evaluate(q))), str(closed))
-            record(f"interior_count_q{q}", str(int(I_poly.evaluate(q))), str(opened))
+            record(f"closed_count_q{q}", str(E_theorem.evaluate(q)), str(closed))
+            record(f"interior_count_q{q}", str(I_poly.evaluate(q)), str(opened))
         closed1, opened1 = counts[1]
         record("corollary_points", str(points), str(closed1))
         record("corollary_interior_points", str(interior_points), str(opened1))
@@ -309,13 +299,11 @@ def _render_pretty(report: dict) -> str:
     results = report.get("results", {})
     command = report["command"]
     if command == "tutte":
-        poly = bipoly_from_json(results["monomial"])
-        shifted = {
-            (t["i"], t["j"]): int(t["c"]) for t in results["shifted"]["terms"]
-        }
+        monomial = bipoly_from_json(results["monomial"])
+        shifted = bipoly_from_json(results["shifted"])
         lines.append(f"kind: {results['kind']}")
-        lines.append(f"monomial: {format_bipoly(poly)}")
-        lines.append(f"shifted:  {format_shifted(shifted)}")
+        lines.append(f"monomial: {format_bipoly(monomial)}")
+        lines.append(f"shifted:  {format_bipoly(shifted, '(x-1)', '(y-1)')}")
         lines.append(f"unimodular: {results['is_unimodular']}")
     elif command == "ehrhart":
         lines.append(f"ehrhart:  {format_unipoly(unipoly_from_json(results['ehrhart']))}")

@@ -6,24 +6,20 @@ Two representations are used throughout the package:
   UniPoly  — dense univariate polynomial, a coefficient tuple c_0..c_d.
 
 Both are canonical (no stored zero coefficients / no trailing zeros), so
-equality of values is equality of polynomials.  The monomial basis is the
-one canonical form; the shifted basis (x-1)^i (y-1)^j exists only as an
-input format for expand_shifted_basis.
-
-Exact rational scalars are plain fractions.Fraction values, which are kept
-reduced with positive denominator by construction; no separate rational
-type is defined here.
+equality of values is equality of polynomials.  Exponents and coefficients
+must be int (bool is refused).  A polynomial holds whichever basis its
+caller fills it with; expand_shifted_basis turns coefficients of
+(x-1)^i (y-1)^j into the monomial basis.  evaluate does plain arithmetic
+on the numbers it is given, so integer arguments give an int.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
 from .errors import DegreeTooHigh
-
-Scalar = int | Fraction
+from .exact_linalg import _check_int
 
 
 class BiPoly:
@@ -34,10 +30,10 @@ class BiPoly:
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
         for (i, j), c in (terms or {}).items():
-            if i < 0 or j < 0:
+            if _check_int(i) < 0 or _check_int(j) < 0:
                 raise ValueError("exponents must be nonnegative")
-            if c:
-                clean[(int(i), int(j))] = c
+            if _check_int(c):
+                clean[(i, j)] = c
         self._terms = clean
 
     def coefficient(self, i: int, j: int) -> int:
@@ -51,29 +47,8 @@ class BiPoly:
     def degree_x(self) -> int:
         return max((i for i, _ in self._terms), default=0)
 
-    @property
-    def degree_y(self) -> int:
-        return max((j for _, j in self._terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return BiPoly(out)
-
-    def times_monomial(self, di: int, dj: int) -> "BiPoly":
-        """Multiply by x^di * y^dj."""
-        return BiPoly({(i + di, j + dj): c for (i, j), c in self._terms.items()})
-
-    def evaluate(self, x: Scalar, y: Scalar) -> Fraction:
-        xf, yf = Fraction(x), Fraction(y)
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            total += c * xf**i * yf**j
-        return total
+    def evaluate(self, x, y):
+        return sum(c * x**i * y**j for (i, j), c in self._terms.items())
 
     def specialize_y(self, value: int) -> "UniPoly":
         """Substitute an integer for y, leaving a UniPoly in x."""
@@ -87,9 +62,6 @@ class BiPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def __repr__(self) -> str:
         return f"BiPoly({format_bipoly(self)})"
 
@@ -102,8 +74,7 @@ class UniPoly:
     def __init__(self, coeffs: Iterable[int]):
         data = list(coeffs)
         for c in data:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"integer coefficient required, got {c!r}")
+            _check_int(c)
         while data and data[-1] == 0:
             data.pop()
         self._coeffs = tuple(data)
@@ -122,17 +93,10 @@ class UniPoly:
             return self._coeffs[k]
         return 0
 
-    def constant_term(self) -> int:
-        return self._coeffs[0] if self._coeffs else 0
-
-    def scale(self, k: int) -> "UniPoly":
-        return UniPoly([k * c for c in self._coeffs])
-
-    def evaluate(self, t: Scalar) -> Fraction:
-        tf = Fraction(t)
-        total = Fraction(0)
+    def evaluate(self, t):
+        total = 0
         for c in reversed(self._coeffs):
-            total = total * tf + c
+            total = total * t + c
         return total
 
     def taylor_shift(self, a: int) -> "UniPoly":
@@ -149,9 +113,6 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         return f"UniPoly({format_unipoly(self)})"
@@ -181,11 +142,6 @@ def reverse_coefficients(P: UniPoly, n: int) -> UniPoly:
     return UniPoly([P.coefficient(n - k) for k in range(n + 1)])
 
 
-def negate_argument(P: UniPoly) -> UniPoly:
-    """Return P(-t): flip the sign of every odd-degree coefficient."""
-    return UniPoly([-c if k % 2 else c for k, c in enumerate(P.coefficients)])
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 #
@@ -202,7 +158,7 @@ def bipoly_to_json(P: BiPoly, variables: tuple[str, str] = ("x", "y")) -> dict:
 
 
 def bipoly_from_json(doc: Mapping) -> BiPoly:
-    return BiPoly({(int(t["i"]), int(t["j"])): int(t["c"]) for t in doc["terms"]})
+    return BiPoly({(t["i"], t["j"]): int(t["c"]) for t in doc["terms"]})
 
 
 def unipoly_to_json(P: UniPoly, variable: str = "q") -> dict:
@@ -215,7 +171,7 @@ def unipoly_to_json(P: UniPoly, variable: str = "q") -> dict:
 
 
 def unipoly_from_json(doc: Mapping) -> UniPoly:
-    coeffs: dict[int, int] = {int(t["i"]): int(t["c"]) for t in doc["terms"]}
+    coeffs: dict[int, int] = {_check_int(t["i"]): int(t["c"]) for t in doc["terms"]}
     size = max(coeffs, default=-1) + 1
     return UniPoly([coeffs.get(k, 0) for k in range(size)])
 
@@ -260,11 +216,3 @@ def format_unipoly(P: UniPoly, var: str = "q") -> str:
             parts.append((c, _monomial(var, k)))
     return _format_terms(parts)
 
-
-def format_shifted(terms: Mapping[tuple[int, int], int], xvar: str = "x", yvar: str = "y") -> str:
-    """Render a shifted-basis term map as e.g. (x-1)^2 + 6(x-1) + 11 + (y-1)."""
-    parts = []
-    for (i, j), c in sorted(terms.items(), key=lambda t: (-t[0][0], -t[0][1])):
-        if c:
-            parts.append((c, _monomial(f"({xvar}-1)", i) + _monomial(f"({yvar}-1)", j)))
-    return _format_terms(parts)

@@ -213,6 +213,110 @@ class TestVerifyFailurePath:
             "ehrhart_theorem_equals_independent_sets"
         )
 
+    def test_second_readings_catch_a_wrong_monomial_form(self, capsys, monkeypatch):
+        # E is read off the shifted coefficients; a fault in the monomial
+        # form alone must show in every check that reads it a second way
+        import zonotutte.tutte_core as tutte_core
+        from zonotutte import BiPoly
+
+        real = tutte_core.expand_shifted_basis
+
+        def off_by_x(terms):
+            out = dict(real(terms).sorted_terms())
+            out[(1, 0)] = out.get((1, 0), 0) + 1
+            return BiPoly(out)
+
+        monkeypatch.setattr(tutte_core, "expand_shifted_basis", off_by_x)
+        code, out, _ = run_cli(capsys, "verify", "--vectors", "3,0;0,2;1,1")
+        assert code == 1
+        passed = {c["identity"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert passed["ehrhart_theorem_equals_independent_sets"] is True
+        for name in ("coefficient_reversal", "interior_specialization", "volume_identity"):
+            assert passed[name] is False, name
+
+
+# --pretty renderings and the tutte report's shifted block of the worked
+# list, pinned byte for byte
+GOLDEN_PRETTY = {
+    ("tutte",): """\
+command: tutte
+input: dim=2 vectors=(3,0) (0,2) (1,1)
+kind: multiplicity
+monomial: x^2 + 4x + y + 5
+shifted:  (x-1)^2 + 6(x-1) + (y-1) + 11
+unimodular: False
+""",
+    ("tutte", "--classical"): """\
+command: tutte
+input: dim=2 vectors=(3,0) (0,2) (1,1)
+kind: classical
+monomial: x^2 + x + y
+shifted:  (x-1)^2 + 3(x-1) + (y-1) + 3
+unimodular: False
+""",
+    ("ehrhart",): """\
+command: ehrhart
+input: dim=2 vectors=(3,0) (0,2) (1,1)
+ehrhart:  11q^2 + 6q + 1
+interior: 11q^2 - 6q + 1
+volume:   11
+""",
+    ("count", "--q", "2"): """\
+command: count
+input: dim=2 vectors=(3,0) (0,2) (1,1)
+q: 2
+value: 57
+via: q^n M_X(1+1/q, 1); at q=1 this is M_X(2,1)
+""",
+    ("interior", "--q", "2"): """\
+command: interior
+input: dim=2 vectors=(3,0) (0,2) (1,1)
+q: 2
+value: 33
+via: q^n M_X(1-1/q, 1); at q=1 this is M_X(0,1)
+""",
+    ("volume",): """\
+command: volume
+input: dim=2 vectors=(3,0) (0,2) (1,1)
+value: 11
+via: M_X(1,1), the leading Ehrhart coefficient
+""",
+    ("verify", "--oracle"): """\
+command: verify
+input: dim=2 vectors=(3,0) (0,2) (1,1)
+PASS ehrhart_theorem_equals_independent_sets: lhs=11q^2 + 6q + 1 rhs=11q^2 + 6q + 1
+PASS dilation_identity_q1: lhs=x^2 + 4x + y + 5 rhs=x^2 + 4x + y + 5
+PASS dilation_identity_q2: lhs=x^2 + 10x + 4y + 29 rhs=x^2 + 10x + 4y + 29
+PASS interior_specialization: lhs=11q^2 - 6q + 1 rhs=11q^2 - 6q + 1
+PASS coefficient_reversal: lhs=q^2 + 6q + 11 rhs=q^2 + 6q + 11
+PASS volume_identity: lhs=11 rhs=11
+PASS closed_count_q1: lhs=18 rhs=18
+PASS interior_count_q1: lhs=6 rhs=6
+PASS closed_count_q2: lhs=57 rhs=57
+PASS interior_count_q2: lhs=33 rhs=33
+PASS corollary_points: lhs=18 rhs=18
+PASS corollary_interior_points: lhs=6 rhs=6
+all identities pass: True
+""",
+}
+
+GOLDEN_SHIFTED = (
+    '"shifted": {"vars": ["x-1", "y-1"], "terms": [{"i": 2, "j": 0, "c": "1"}, '
+    '{"i": 1, "j": 0, "c": "6"}, {"i": 0, "j": 1, "c": "1"}, {"i": 0, "j": 0, "c": "11"}]}'
+)
+
+
+class TestGoldenOutput:
+    def test_pretty_renderings(self, capsys):
+        for argv, expected in GOLDEN_PRETTY.items():
+            code, out, _ = run_cli(capsys, *argv, "--pretty", "--vectors", "3,0;0,2;1,1")
+            assert (code, out) == (0, expected), argv
+
+    def test_tutte_shifted_block(self, capsys):
+        code, out, _ = run_cli(capsys, "tutte", "--vectors", "3,0;0,2;1,1")
+        assert code == 0
+        assert GOLDEN_SHIFTED in out
+
 
 class TestExitCodes:
     def test_parse_error_bad_json(self, capsys, monkeypatch):

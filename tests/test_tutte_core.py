@@ -67,7 +67,7 @@ class TestMultiplicityTutte:
             assert all(c > 0 for c in M.shifted_terms.values())
             assert M.polynomial.degree_x <= X.dim
             # y-degree of the defining sum is at most |X| - rank(X)
-            assert M.polynomial.degree_y <= len(X) - X.dim
+            assert max(j for (_, j), _ in M.polynomial.sorted_terms()) <= len(X) - X.dim
 
     def test_specializations_are_nonnegative_integers(self, small_corpus):
         for X in small_corpus:
@@ -80,7 +80,9 @@ class TestMultiplicityTutte:
         for X in small_corpus[:8]:
             padded = VectorList(X.dim, list(X.vectors) + [(0,) * X.dim])
             lhs = multiplicity_tutte(padded).polynomial
-            rhs = multiplicity_tutte(X).polynomial.times_monomial(0, 1)
+            rhs = BiPoly(
+                {(i, j + 1): c for (i, j), c in multiplicity_tutte(X).polynomial.sorted_terms()}
+            )
             assert lhs == rhs
 
 
@@ -145,9 +147,9 @@ class TestDilationIdentity:
 
 
 @st.composite
-def spanning_lists(draw, entries=st.integers(-10**3, 10**3), max_size=9):
-    """Full-rank lists in Z^n, n in 1..4, with zero and repeated vectors."""
-    n = draw(st.integers(1, 4))
+def spanning_lists(draw, entries=st.integers(-10**3, 10**3), max_size=9, max_dim=4):
+    """Full-rank lists in Z^n, n in 1..max_dim, with zero and repeated vectors."""
+    n = draw(st.integers(1, max_dim))
     distinct = draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=max_size))
     # index len(distinct) stands for the zero vector
     picks = draw(st.lists(st.integers(0, len(distinct)), min_size=n, max_size=max_size))
@@ -185,3 +187,38 @@ class TestAgainstSublistEnumeration:
         rng = random.Random(31)
         for X in [WORKED, UNIT_SQUARE] + [random_unimodular_list(rng, n) for n in (1, 2, 3, 4)]:
             self.check(X)
+
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """Integer n x n matrices of determinant +-1: row negations and row
+    additions applied to the identity."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for a, b, k in draw(st.lists(ops, max_size=3 * n)):
+        if a == b:
+            U[a] = [-x for x in U[a]]
+        else:
+            U[a] = [x + k * y for x, y in zip(U[a], U[b])]
+    return U
+
+
+SMALL_LISTS = spanning_lists(entries=st.integers(-3, 3), max_size=7, max_dim=3)
+
+
+class TestStructuralProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(SMALL_LISTS, st.data())
+    def test_invariant_under_unimodular_maps(self, X, data):
+        U = data.draw(unimodular_matrices(X.dim))
+        image = VectorList(
+            X.dim, [tuple(sum(u * x for u, x in zip(row, v)) for row in U) for v in X.vectors]
+        )
+        assert multiplicity_tutte(image).polynomial == multiplicity_tutte(X).polynomial
+
+    @settings(max_examples=100, deadline=None)
+    @given(SMALL_LISTS)
+    def test_monomial_coefficients_nonnegative(self, X):
+        # D'Adderio-Moci, Adv. Math. 2013: the arithmetic Tutte polynomial
+        # of a list has nonnegative coefficients
+        assert all(c >= 0 for _, c in multiplicity_tutte(X).polynomial.sorted_terms())
