@@ -27,6 +27,7 @@ factor (q < 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -362,6 +363,7 @@ def _add_common(parser: argparse.ArgumentParser, *, with_q: bool = False) -> Non
         parser.add_argument("--q", type=int, default=1, help="dilation factor (default 1)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zonotutte",
@@ -408,7 +410,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=MAX_BOX_POINTS,
         metavar="N",
-        help=f"bounding-box point cap for the oracle (default {MAX_BOX_POINTS})",
+        help=(
+            "cap on the oracle's work: lines of the bounding box times facets "
+            f"of the zonotope (default {MAX_BOX_POINTS})"
+        ),
     )
     p_verify.set_defaults(handler=_cmd_verify)
 

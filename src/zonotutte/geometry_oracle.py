@@ -17,8 +17,22 @@ therefore never demote an interior point to the boundary.
 The count walks the lines of the bounding box along its longest axis, on
 exact Python integers: each row c.p <= d bounds a line's interval of
 integers by one floor division, or keeps or drops the whole line where c
-is 0 on that axis.  Interior points take the same walk with every offset
-lowered by 1, since c.p < d is c.p <= d - 1 on integer points.
+is 0 on that axis.  Interior points are bounded on the same line with
+every offset lowered by 1, since c.p < d is c.p <= d - 1 on integer
+points; a line with no closed point has no interior one, so that bound is
+taken only where the closed interval is nonempty.
+
+Every zonotope is centrally symmetric (Shephard 1974): p -> q sum(X) - p
+maps q Z(X) onto itself, and swaps each facet row (c, d) with its opposite
+(-c, d - q sum_i c.x_i).  The bounding box, from lo_j = q sum_i min(0, x_ij)
+to hi_j = q sum_i max(0, x_ij), has the same centre, since lo_j + hi_j =
+q sum_i x_ij, and twice that centre is an integer vector, so the map
+pairs integer points with integer points and each line with a line that
+holds as many closed and interior points.  The walk therefore visits only
+the lines whose coordinates off the axis are lexicographically at most
+their mirror's: a line strictly below its mirror counts twice, and a line
+equal to its mirror, which exists only where every lo_j + hi_j off the
+axis is even, counts once.
 
 The same hyperplane normals decide whether some functional is strictly
 positive on a list (find_positive_functional): on the pivot coordinates of
@@ -120,9 +134,13 @@ def _box_ranges(X: VectorList, q: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _count_below(rows: Sequence[Row], ranges: Sequence[tuple[int, int]]) -> int:
-    """Integer points p of the box with c . p <= d on every row (c, d); the
-    rows must bound a body inside the box, so lines need no clipping."""
+def _closed_open_walk(
+    rows: Sequence[Row], ranges: Sequence[tuple[int, int]]
+) -> tuple[int, int]:
+    """Integer points p of the box with c . p <= d on every row (c, d), and
+    those with c . p <= d - 1, from one walk over the lines up to their
+    mirrors (module docstring).  The rows must bound a body inside the box
+    that is centrally symmetric about the box's centre."""
     axis = max(range(len(ranges)), key=lambda j: ranges[j][1] - ranges[j][0])
     others = [j for j in range(len(ranges)) if j != axis]
     # on a line with slack s = d - (c.p without its axis term), a row caps the
@@ -135,23 +153,45 @@ def _count_below(rows: Sequence[Row], ranges: Sequence[tuple[int, int]]) -> int:
     cap_div = [c[axis] for c, _ in caps]
     floor_div = [-c[axis] for c, _ in floors]
 
-    def count(depth: int, slacks: list[int]) -> int:
+    def line(slacks: list[int]) -> tuple[int, int]:
+        flat = min(slacks[v:], default=1)
+        if flat < 0:
+            return 0, 0
+        hi = min(map(floordiv, slacks[:u], cap_div))
+        lo = -min(map(floordiv, slacks[u:v], floor_div))
+        if hi < lo:
+            return 0, 0
+        if flat == 0:  # the line lies on a facet parallel to the axis
+            return hi - lo + 1, 0
+        # the interior interval: every slack lowered by 1
+        inner = [s - 1 for s in slacks[:v]]
+        inner_hi = min(map(floordiv, inner[:u], cap_div))
+        inner_lo = -min(map(floordiv, inner[u:], floor_div))
+        return hi - lo + 1, max(0, inner_hi - inner_lo + 1)
+
+    def walk(depth: int, slacks: list[int], tied: bool) -> tuple[int, int]:
+        # tied: the coordinates fixed so far are their own mirror's, so the
+        # walk stops at the centre, and lines strictly below it stand for
+        # their mirrors too
         if depth == len(others):
-            if min(slacks[v:], default=0) < 0:
-                return 0
-            hi = min(map(floordiv, slacks[:u], cap_div))
-            lo = -min(map(floordiv, slacks[u:v], floor_div))
-            return max(0, hi - lo + 1)
+            return line(slacks)
         lo_j, hi_j = ranges[others[depth]]
         step = [c[others[depth]] for c, _ in rows]
         slacks = [s - c * lo_j for s, c in zip(slacks, step)]
-        total = 0
-        for _ in range(lo_j, hi_j + 1):
-            total += count(depth + 1, slacks)
+        closed = opened = 0
+        for _ in range(lo_j, (lo_j + hi_j + 1) // 2 if tied else hi_j + 1):
+            below = walk(depth + 1, slacks, False)
+            closed += below[0]
+            opened += below[1]
             slacks = list(map(sub, slacks, step))
-        return total
+        if not tied:
+            return closed, opened
+        if (lo_j + hi_j) % 2:
+            return 2 * closed, 2 * opened
+        centre = walk(depth + 1, slacks, True)
+        return 2 * closed + centre[0], 2 * opened + centre[1]
 
-    return count(0, [d for _, d in rows])
+    return walk(0, [d for _, d in rows], True)
 
 
 def closed_open_counts(
@@ -162,9 +202,13 @@ def closed_open_counts(
 ) -> tuple[int, int]:
     """Count lattice points of the dilated zonotope: (closed hull, interior).
 
-    Both counts walk the same lines of the bounding box, the interior with
-    every offset lowered by 1 (module docstring); brute_force_count is the
-    single-mode front end.
+    One walk gives both counts (module docstring): it visits only the
+    lines of the bounding box up to their mirror images through the
+    centre, and on each line with a closed point it also bounds the
+    interior interval, with every offset lowered by 1.  The walk's work is
+    its lines times the facet rows; max_box caps the box's lines (its
+    points over its longest side) times the rows.  brute_force_count is
+    the single-mode front end.
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
@@ -174,14 +218,16 @@ def closed_open_counts(
             f"brute-force counting supports dimension <= {MAX_BRUTE_FORCE_DIM}, got {X.dim}"
         )
     ranges = _box_ranges(X, q)
-    box_points = math.prod(hi - lo + 1 for lo, hi in ranges)
-    if box_points > max_box:
-        raise BoxTooLarge(f"bounding box holds {box_points} points; cap is {max_box}")
     H = zonotope_hrep(X, q)
-    return (
-        _count_below(H.inequalities, ranges),
-        _count_below([(c, d - 1) for c, d in H.inequalities], ranges),
-    )
+    sides = [hi - lo + 1 for lo, hi in ranges]
+    lines = math.prod(sides) // max(sides)
+    work = lines * len(H.inequalities)
+    if work > max_box:
+        raise BoxTooLarge(
+            f"bounding box has {lines} lines and the zonotope {len(H.inequalities)} "
+            f"facets, {work} line-facet pairs; cap is {max_box}"
+        )
+    return _closed_open_walk(H.inequalities, ranges)
 
 
 def brute_force_count(

@@ -101,6 +101,13 @@ class TestScalarCommands:
         report = run_json(capsys, "interior", "--q", "1", "--vectors", "1,0;0,1")
         assert report["results"]["value"] == "0"
 
+    def test_calls_in_a_row_do_not_share_option_values(self, capsys):
+        # one parser serves every call in the process
+        first = run_json(capsys, "count", "--q", "3", "--vectors", "1,0;0,1")
+        second = run_json(capsys, "count", "--vectors", "1,0;0,1")
+        assert (first["results"]["q"], first["results"]["value"]) == (3, "16")
+        assert (second["results"]["q"], second["results"]["value"]) == (1, "4")
+
     def test_ehrhart_command(self, capsys):
         report = run_json(capsys, "ehrhart", "--vectors", "3,0;0,2;1,1")
         assert report["results"]["ehrhart"]["terms"] == [

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -146,6 +147,18 @@ class TestZonotopeHrep:
         X, q = case
         assert zonotope_hrep(X, q) == reference_hrep(X, q)
 
+    @settings(max_examples=40, deadline=None)
+    @given(dilated_lists(entries=st.integers(-5, 5)))
+    def test_centrally_symmetric(self, case):
+        # p -> q * sum(X) - p maps q Z(X) onto itself, so it swaps each
+        # facet c . p <= d with its opposite -c . p <= d - q * sum_i c . x_i
+        X, q = case
+        rows = set(zonotope_hrep(X, q).inequalities)
+        total = [q * sum(column) for column in zip(*X.vectors)]
+        for c, d in rows:
+            mirror = (tuple(-a for a in c), d - sum(a * t for a, t in zip(c, total)))
+            assert mirror in rows, (X, q, c, d)
+
     def test_dilation_scales_hrep(self, small_corpus):
         for X in small_corpus[:8]:
             H1 = zonotope_hrep(X, 1)
@@ -239,6 +252,28 @@ class TestBruteForceCount:
                 for q in (1, 2, 3):
                     assert closed_open_counts(X, q) == reference_counts(X, q), (X, q)
 
+    def test_half_walk_every_centre_parity_and_axis(self):
+        # coordinate j of the box centre is (lo_j + hi_j) / 2 = q * sum_i x_ij / 2;
+        # lines are their own mirror only where every lo_j + hi_j off the
+        # walked axis is even.  Cover every parity pattern off the axis, with
+        # the axis in every position; q = 2 makes every sum even.  Lines on
+        # facets parallel to the axis hold closed points but no interior ones.
+        rng = random.Random(1974)
+        for n, bound in ((1, 3), (2, 2), (3, 1), (4, 1)):
+            for axis in range(n):
+                for parities in product((0, 1), repeat=n - 1):
+                    while True:
+                        X = random_full_rank_list(rng, n, max_size=n + 2, bound=bound)
+                        ranges = _box_ranges(X, 1)
+                        widths = [hi - lo for lo, hi in ranges]
+                        sums = tuple((lo + hi) % 2 for lo, hi in ranges)
+                        if widths.index(max(widths)) == axis and (
+                            sums[:axis] + sums[axis + 1:] == parities
+                        ):
+                            break
+                    for q in (1, 2):
+                        assert closed_open_counts(X, q) == reference_counts(X, q), (X, q)
+
     def test_dilation_compatibility(self, small_corpus):
         for X in small_corpus[:8]:
             for q in (2, 3):
@@ -268,9 +303,22 @@ class TestBigEntries:
             expected = (E.evaluate(q), interior.evaluate(q))
             assert closed_open_counts(X, q, max_box=10**24) == expected
 
-    def test_box_cap_still_counts_box_points(self):
+    def test_box_cap_counts_lines_times_facets(self):
+        # about 10^20 box points, but 2 lines against 4 facets: 8 pairs
+        X = VectorList(2, [(10**20, 1), (1, 0)])
+        assert closed_open_counts(X, 1) == (4, 0)
         with pytest.raises(BoxTooLarge):
-            closed_open_counts(VectorList(2, [(10**20, 1), (1, 0)]), 1, max_box=10**20)
+            closed_open_counts(X, 1, max_box=7)
+
+    def test_box_cap_refuses_a_long_walk_quickly(self):
+        # n = 4, |X| = 24, entries in [-3, 3]: 73,554 lines against 2,890
+        # facets, a walk of tens of seconds; refused after zonotope_hrep alone
+        rng = random.Random(24)
+        X = VectorList(4, [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(24)])
+        start = time.perf_counter()
+        with pytest.raises(BoxTooLarge):
+            closed_open_counts(X, 1)
+        assert time.perf_counter() - start < 1
 
 
 class TestFindPositiveFunctional:
