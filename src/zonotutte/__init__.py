@@ -16,7 +16,6 @@ from .errors import (
     DegreeTooHigh,
     DimensionDeficient,
     ListTooLarge,
-    RankDeficient,
     UnboundedCone,
     ZonotutteError,
 )
@@ -24,7 +23,6 @@ from .exact_linalg import (
     IntMatrix,
     VectorList,
     determinant,
-    gcd_maximal_minors,
     multiplicity,
     rank,
 )
@@ -40,7 +38,6 @@ from .polynomials import (
 )
 from .tutte_core import (
     TutteResult,
-    check_dilation_identity,
     classical_tutte,
     dilate_list,
     dilation_identity_sides,
@@ -55,9 +52,7 @@ from .ehrhart import (
     scalar_corollaries,
 )
 from .geometry_oracle import (
-    CountMode,
     HRep,
-    brute_force_count,
     closed_open_counts,
     find_positive_functional,
     partition_function,
@@ -67,7 +62,6 @@ from .geometry_oracle import (
 __all__ = [
     "BiPoly",
     "BoxTooLarge",
-    "CountMode",
     "DegreeMismatch",
     "DegreeTooHigh",
     "DimensionDeficient",
@@ -75,7 +69,6 @@ __all__ = [
     "HRep",
     "IntMatrix",
     "ListTooLarge",
-    "RankDeficient",
     "TutteResult",
     "UnboundedCone",
     "UniPoly",
@@ -83,8 +76,6 @@ __all__ = [
     "ZonotutteError",
     "bipoly_from_json",
     "bipoly_to_json",
-    "brute_force_count",
-    "check_dilation_identity",
     "classical_tutte",
     "closed_open_counts",
     "determinant",
@@ -95,7 +86,6 @@ __all__ = [
     "ehrhart_via_theorem",
     "expand_shifted_basis",
     "find_positive_functional",
-    "gcd_maximal_minors",
     "interior_polynomial",
     "multiplicity",
     "multiplicity_tutte",

@@ -45,7 +45,7 @@ from .errors import (
     DimensionDeficient,
     ListTooLarge,
 )
-from .exact_linalg import VectorList
+from .exact_linalg import VectorList, _check_int
 from .geometry_oracle import MAX_BOX_POINTS, closed_open_counts
 from .polynomials import (
     BiPoly,
@@ -60,6 +60,7 @@ from .polynomials import (
 )
 from .tutte_core import (
     MAX_LIST_SIZE,
+    check_input,
     classical_tutte,
     dilation_identity_sides,
     multiplicity_tutte,
@@ -77,29 +78,18 @@ class InputError(Exception):
     """Malformed input document or inline vector specification."""
 
 
-def _require_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _vector_list_from_doc(doc) -> VectorList:
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     if "dim" not in doc or "vectors" not in doc:
         raise InputError('input document needs keys "dim" and "vectors"')
-    dim = _require_int(doc["dim"], '"dim"')
+    dim = _check_int(doc["dim"])
     if dim < 1:
         raise InputError(f'"dim" must be positive, got {dim}')
-    vectors = doc["vectors"]
-    if not isinstance(vectors, list):
+    if not isinstance(doc["vectors"], list):
         raise InputError('"vectors" must be a list of integer vectors')
-    rows = []
-    for v in vectors:
-        if not isinstance(v, list) or len(v) != dim:
-            raise InputError(f"vector {v!r} is not a list of length {dim}")
-        rows.append(tuple(_require_int(x, "vector entry") for x in v))
-    return VectorList(dim, rows)
+    # VectorList checks that each vector is a sequence of dim integers
+    return VectorList(dim, doc["vectors"])
 
 
 def _vector_list_from_inline(spec: str) -> VectorList:
@@ -139,7 +129,7 @@ def _load_input(args) -> VectorList:
         raise InputError(f"invalid JSON: {exc}") from exc
     try:
         return _vector_list_from_doc(doc)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -210,6 +200,17 @@ def _scalar_report(X: VectorList, args, command: str) -> dict:
 
 def _cmd_verify(X: VectorList, args) -> dict:
     q_list = args.q_values
+    # the oracle counts first: its cap refuses after zonotope_hrep alone, at
+    # a fraction of the polynomial side's cost.  One count per distinct q
+    # gives both the closed and the open count; q = 1 also serves the
+    # corollaries
+    counts: dict[int, tuple[int, int]] = {}
+    if args.oracle:
+        check_input(X, args.max_subsets)
+        for q in [*q_list, 1]:
+            if q not in counts:
+                counts[q] = closed_open_counts(X, q, max_box=args.max_box)
+
     M = multiplicity_tutte(X, max_list_size=args.max_subsets)
     n = M.ambient_dim
     E_theorem = ehrhart_via_theorem(M)
@@ -263,12 +264,6 @@ def _cmd_verify(X: VectorList, args) -> dict:
     record("volume_identity", str(E_theorem.coefficient(n)), str(volume))
 
     if args.oracle:
-        # one oracle count per distinct q gives both the closed and the
-        # open count; q = 1 also serves the corollaries
-        counts: dict[int, tuple[int, int]] = {}
-        for q in [*q_list, 1]:
-            if q not in counts:
-                counts[q] = closed_open_counts(X, q, max_box=args.max_box)
         for q in q_list:
             closed, opened = counts[q]
             record(f"closed_count_q{q}", str(E_theorem.evaluate(q)), str(closed))

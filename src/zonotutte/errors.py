@@ -5,16 +5,12 @@ class ZonotutteError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class RankDeficient(ZonotutteError):
-    """A sublist was required to have full rank n but does not."""
-
-
 class DimensionDeficient(ZonotutteError):
     """The input list does not span its ambient space."""
 
 
 class ListTooLarge(ZonotutteError):
-    """The list exceeds the configured subset-enumeration cap."""
+    """The list is longer than the configured list-length cap."""
 
 
 class DegreeTooHigh(ZonotutteError):
@@ -26,7 +22,9 @@ class DegreeMismatch(ZonotutteError):
 
 
 class BoxTooLarge(ZonotutteError):
-    """The bounding box exceeds the configured enumeration cap."""
+    """An oracle count would exceed the configured cap on its work (lines of
+    the bounding box times facets of the zonotope), or the dimension is
+    above the largest the oracle counts in."""
 
 
 class UnboundedCone(ZonotutteError):

@@ -16,7 +16,7 @@ Two exact algorithms serve every caller:
   * Minors.  minor_gcd is the gcd of all k x k minors (Bareiss
     determinants), 0 exactly when the rank is below k.  It never builds a
     Hermite form, so what is computed from it alone (the independent-set
-    Ehrhart sum, gcd_maximal_minors) does not depend on hnf_insert.
+    Ehrhart sum) does not depend on hnf_insert.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DimensionDeficient, RankDeficient
+from .errors import DimensionDeficient
 
 
 def _check_int(value) -> int:
@@ -157,17 +157,6 @@ def minor_gcd(vectors: Sequence[Sequence[int]], dim: int, k: int) -> int:
             g = math.gcd(g, _bareiss([[v[i] for v in cols] for i in rows]))
             if g == 1:
                 return 1
-    return g
-
-
-def gcd_maximal_minors(A: VectorList) -> int:
-    """gcd of the absolute n x n minors of the column matrix of A.
-
-    Requires A to have rank n; equals multiplicity(A) in that case.
-    """
-    g = minor_gcd(A.vectors, A.dim, A.dim)
-    if g == 0:
-        raise RankDeficient(f"sublist has rank {rank(A)} < ambient dimension {A.dim}")
     return g
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from operator import floordiv, sub
 from typing import Sequence
@@ -58,11 +57,6 @@ MAX_BOX_POINTS = 10_000_000
 MAX_BRUTE_FORCE_DIM = 4
 
 Row = tuple[tuple[int, ...], int]  # coeffs . v <= rhs
-
-
-class CountMode(Enum):
-    CLOSED = "closed"
-    OPEN = "open"
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,7 @@ def closed_open_counts(
     centre, and on each line with a closed point it also bounds the
     interior interval, with every offset lowered by 1.  The walk's work is
     its lines times the facet rows; max_box caps the box's lines (its
-    points over its longest side) times the rows.  brute_force_count is
-    the single-mode front end.
+    points over its longest side) times the rows.
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
@@ -228,20 +221,6 @@ def closed_open_counts(
             f"facets, {work} line-facet pairs; cap is {max_box}"
         )
     return _closed_open_walk(H.inequalities, ranges)
-
-
-def brute_force_count(
-    X: VectorList,
-    q: int,
-    mode: CountMode,
-    *,
-    max_box: int = MAX_BOX_POINTS,
-) -> int:
-    """Number of lattice points in the dilated zonotope (CLOSED) or its
-    interior (OPEN), counted line by line over the bounding box against the
-    facets of zonotope_hrep."""
-    closed, opened = closed_open_counts(X, q, max_box=max_box)
-    return closed if mode is CountMode.CLOSED else opened
 
 
 def find_positive_functional(X: VectorList) -> tuple[int, ...] | None:

@@ -22,6 +22,7 @@ computed once per lattice at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import ListTooLarge
 from .exact_linalg import (
@@ -130,11 +131,12 @@ def dilation_identity_sides(
 ) -> tuple[BiPoly, BiPoly]:
     """Both sides of the dilation identity, computed independently.
 
-    The left side is the weighted polynomial of qX from scratch; the right
-    side rescales each shifted-basis coefficient of (x-1)^i in the
-    polynomial of X by q^(n-i).  base, when given, must be
-    multiplicity_tutte(X); it saves recomputing the right side's source
-    when several q are checked.
+    The left side is the weighted polynomial of qX from scratch.  The
+    right side is q^n M_X(1 + (x-1)/q, y), expanded from the monomial form
+    sum a_ab x^a y^b of M_X as sum a_ab q^(n-a) (x+q-1)^a y^b, so it does
+    not pass through the shifted-basis expansion that built the left side.
+    base, when given, must be multiplicity_tutte(X); it saves recomputing
+    the right side's source when several q are checked.
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
@@ -142,13 +144,9 @@ def dilation_identity_sides(
         base = multiplicity_tutte(X, max_list_size=max_list_size)
     lhs = multiplicity_tutte(dilate_list(X, q), max_list_size=max_list_size).polynomial
     n = base.ambient_dim
-    rhs = expand_shifted_basis(
-        {(i, j): c * q ** (n - i) for (i, j), c in base.shifted_terms.items()}
-    )
-    return lhs, rhs
-
-
-def check_dilation_identity(X: VectorList, q: int, *, max_list_size: int = MAX_LIST_SIZE) -> bool:
-    """Exact coefficient-wise check of the dilation identity for X and q."""
-    lhs, rhs = dilation_identity_sides(X, q, max_list_size=max_list_size)
-    return lhs == rhs
+    rhs: dict[tuple[int, int], int] = {}
+    for (a, b), c in base.polynomial.sorted_terms():
+        scaled = c * q ** (n - a)
+        for k in range(a + 1):
+            rhs[(k, b)] = rhs.get((k, b), 0) + scaled * comb(a, k) * (q - 1) ** (a - k)
+    return lhs, BiPoly(rhs)

@@ -11,17 +11,15 @@ from fractions import Fraction
 import pytest
 
 from zonotutte import (
-    CountMode,
     UnboundedCone,
     UniPoly,
     VectorList,
-    brute_force_count,
-    check_dilation_identity,
     classical_tutte,
+    closed_open_counts,
+    dilation_identity_sides,
     ehrhart_via_independent_sets,
     ehrhart_via_theorem,
     find_positive_functional,
-    gcd_maximal_minors,
     interior_polynomial,
     multiplicity,
     multiplicity_tutte,
@@ -29,6 +27,7 @@ from zonotutte import (
     rank,
     scalar_corollaries,
 )
+from zonotutte.exact_linalg import minor_gcd
 from zonotutte.polynomials import BiPoly
 from conftest import random_unimodular_list
 
@@ -67,10 +66,8 @@ def test_criterion_1_worked_fixture_exact():
     assert I == UniPoly([1, -6, 11])
     points, volume, interior_points = scalar_corollaries(M)
     assert (points, volume, interior_points) == (18, 11, 6)
-    assert brute_force_count(WORKED, 1, CountMode.CLOSED) == 18
-    assert brute_force_count(WORKED, 1, CountMode.OPEN) == 6
-    assert brute_force_count(WORKED, 2, CountMode.CLOSED) == 57
-    assert brute_force_count(WORKED, 2, CountMode.OPEN) == 33
+    assert closed_open_counts(WORKED, 1) == (18, 6)
+    assert closed_open_counts(WORKED, 2) == (57, 33)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"fixture took {elapsed:.3f}s"
     print(
@@ -88,7 +85,7 @@ def test_criterion_2_theorem_suite(acceptance_corpus):
         assert E_theorem == E_direct, f"routes disagree for {X.vectors}"
         for q in (1, 2, 3):
             expected = E_theorem.evaluate(q)
-            counted = brute_force_count(X, q, CountMode.CLOSED)
+            counted = closed_open_counts(X, q)[0]
             assert expected == counted, f"closed count q={q} for {X.vectors}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"suite took {elapsed:.1f}s"
@@ -104,7 +101,7 @@ def test_criterion_3_reciprocity_suite(acceptance_corpus):
         I = interior_polynomial(E, X.dim)
         for q in (1, 2, 3):
             expected = I.evaluate(q)
-            counted = brute_force_count(X, q, CountMode.OPEN)
+            counted = closed_open_counts(X, q)[1]
             assert expected == counted, f"open count q={q} for {X.vectors}"
     print(
         f"\ncriterion 3: PASS - interior polynomial matches oracle open "
@@ -115,7 +112,8 @@ def test_criterion_3_reciprocity_suite(acceptance_corpus):
 def test_criterion_4_dilation_suite(acceptance_corpus):
     for X in acceptance_corpus:
         for q in (2, 3, 5):
-            assert check_dilation_identity(X, q), f"q={q} for {X.vectors}"
+            lhs, rhs = dilation_identity_sides(X, q)
+            assert lhs == rhs, f"q={q} for {X.vectors}"
     print(
         f"\ncriterion 4: PASS - dilation identity holds at q=2,3,5 on "
         f"{len(acceptance_corpus)} lists"
@@ -143,7 +141,7 @@ def test_criterion_6_multiplicity_consistency(acceptance_corpus):
             r = rank(A)
             m = multiplicity(A)
             if r == n:
-                assert gcd_maximal_minors(A) == m, f"minor gcd for {A.vectors}"
+                assert minor_gcd(A.vectors, n, n) == m, f"minor gcd for {A.vectors}"
                 full_rank_checked += 1
             for q in (2, 3):
                 qA = VectorList(n, [tuple(q * x for x in v) for v in A])
@@ -159,7 +157,7 @@ def test_criterion_7_interpolation_cross_check(acceptance_corpus):
         n = X.dim
         E = ehrhart_via_theorem(multiplicity_tutte(X))
         samples = [
-            (q, brute_force_count(X, q, CountMode.CLOSED)) for q in range(1, n + 2)
+            (q, closed_open_counts(X, q)[0]) for q in range(1, n + 2)
         ]
         fitted = lagrange_coefficients(samples)
         expected = [Fraction(E.coefficient(k)) for k in range(n + 1)]

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import zonotutte
 from zonotutte.cli import main
@@ -222,7 +224,10 @@ class TestVerifyFailurePath:
 
     def test_second_readings_catch_a_wrong_monomial_form(self, capsys, monkeypatch):
         # E is read off the shifted coefficients; a fault in the monomial
-        # form alone must show in every check that reads it a second way
+        # form alone must show in every check that reads it a second way.
+        # The dilation identity's right side is expanded from the faulty
+        # monomial form of M_X, its left side by the faulty expansion of
+        # M_qX: the extra x^1 term agrees at q = 1 but not at q = 2
         import zonotutte.tutte_core as tutte_core
         from zonotutte import BiPoly
 
@@ -238,7 +243,12 @@ class TestVerifyFailurePath:
         assert code == 1
         passed = {c["identity"]: c["pass"] for c in json.loads(out)["checks"]}
         assert passed["ehrhart_theorem_equals_independent_sets"] is True
-        for name in ("coefficient_reversal", "interior_specialization", "volume_identity"):
+        for name in (
+            "coefficient_reversal",
+            "interior_specialization",
+            "volume_identity",
+            "dilation_identity_q2",
+        ):
             assert passed[name] is False, name
 
 
@@ -344,11 +354,17 @@ class TestExitCodes:
     def test_parse_error_non_integer(self, capsys, monkeypatch):
         import io
 
-        monkeypatch.setattr(
-            sys, "stdin", io.StringIO('{"dim": 1, "vectors": [[1.5]]}')
-        )
-        code, _, _ = run_cli(capsys, "tutte")
-        assert code == 2
+        for doc in (
+            '{"dim": 1, "vectors": [[1.5]]}',
+            '{"dim": 2, "vectors": [[true, 0]]}',
+            '{"dim": 2, "vectors": ["ab"]}',
+            '{"dim": 1, "vectors": [5]}',
+            '{"dim": "2", "vectors": [[1, 0]]}',
+        ):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            code, out, err = run_cli(capsys, "tutte")
+            assert code == 2, doc
+            assert not out and err.startswith("error:"), doc
 
     def test_dimension_deficient(self, capsys, monkeypatch):
         import io
@@ -370,6 +386,19 @@ class TestExitCodes:
             capsys, "verify", "--oracle", "--max-box", "1", "--vectors", "3,0;0,2;1,1"
         )
         assert code == 4
+
+    def test_oracle_cap_refuses_before_the_polynomial_side(self, capsys):
+        # n = 4, |X| = 24, entries in [-3, 3]: the oracle's cap refuses
+        # after zonotope_hrep, where M_X and its dilations take seconds
+        rng = random.Random(24)
+        spec = ";".join(
+            ",".join(str(rng.randint(-3, 3)) for _ in range(4)) for _ in range(24)
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--oracle", "--vectors", spec)
+        assert code == 4
+        assert not out and "line-facet pairs" in err
+        assert time.perf_counter() - start < 1
 
     def test_bad_q(self, capsys):
         code, _, _ = run_cli(

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from zonotutte import (
-    CountMode,
     DegreeMismatch,
     UniPoly,
     VectorList,
-    brute_force_count,
+    closed_open_counts,
     dilate_list,
     ehrhart_summary,
     ehrhart_via_independent_sets,
@@ -109,8 +108,7 @@ class TestScalarCorollaries:
     def test_even_list(self):
         X = VectorList(2, [(2, 0), (0, 2), (1, 1)])
         assert scalar_corollaries(multiplicity_tutte(X)) == (14, 8, 4)
-        assert brute_force_count(X, 1, CountMode.CLOSED) == 14
-        assert brute_force_count(X, 1, CountMode.OPEN) == 4
+        assert closed_open_counts(X, 1) == (14, 4)
 
 
 class TestSummaryAndInvariants:
@@ -143,5 +141,4 @@ class TestSummaryAndInvariants:
             E = ehrhart_via_theorem(M)
             I = interior_polynomial(E, X.dim)
             for q in (1, 2):
-                assert E.evaluate(q) == brute_force_count(X, q, CountMode.CLOSED)
-                assert I.evaluate(q) == brute_force_count(X, q, CountMode.OPEN)
+                assert (E.evaluate(q), I.evaluate(q)) == closed_open_counts(X, q)

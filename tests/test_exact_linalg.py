@@ -5,10 +5,8 @@ import pytest
 
 from zonotutte import (
     IntMatrix,
-    RankDeficient,
     VectorList,
     determinant,
-    gcd_maximal_minors,
     multiplicity,
     rank,
 )
@@ -156,17 +154,13 @@ class TestMultiplicity:
 
 class TestGcdMaximalMinors:
     def test_worked_example(self):
-        assert gcd_maximal_minors(VectorList(2, [(3, 0), (0, 2), (1, 1)])) == 1
+        assert minor_gcd([(3, 0), (0, 2), (1, 1)], 2, 2) == 1
 
     def test_unimodular_basis(self):
-        assert gcd_maximal_minors(VectorList(2, [(1, 0), (0, 1)])) == 1
+        assert minor_gcd([(1, 0), (0, 1)], 2, 2) == 1
 
     def test_even_list(self):
-        assert gcd_maximal_minors(VectorList(2, [(2, 0), (0, 2), (1, 1)])) == 2
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficient):
-            gcd_maximal_minors(VectorList(2, [(1, 0), (2, 0)]))
+        assert minor_gcd([(2, 0), (0, 2), (1, 1)], 2, 2) == 2
 
     def test_agrees_with_multiplicity(self, small_corpus):
         for X in small_corpus:
@@ -175,7 +169,7 @@ class TestGcdMaximalMinors:
                 idxs = [b for b in range(len(X)) if mask >> b & 1]
                 A = X.sublist(idxs)
                 if rank(A) == n:
-                    assert gcd_maximal_minors(A) == multiplicity(A)
+                    assert minor_gcd(A.vectors, n, n) == multiplicity(A)
 
 
 class TestDeterminant:
@@ -271,7 +265,7 @@ class TestHermiteKernel:
     def test_multiplicity_at_full_rank_is_gcd_of_maximal_minors(self):
         for _, n, vecs in corpus(53):
             if minor_gcd(vecs, n, n):
-                assert lattice_multiplicity(span(vecs)) == gcd_maximal_minors(VectorList(n, vecs))
+                assert lattice_multiplicity(span(vecs)) == minor_gcd(vecs, n, n)
 
     def test_zero_lattice(self):
         assert span([]) == span([(0, 0, 0)]) == ()

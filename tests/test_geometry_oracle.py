@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from zonotutte import (
     BoxTooLarge,
-    CountMode,
     DimensionDeficient,
     HRep,
     UnboundedCone,
     VectorList,
-    brute_force_count,
     closed_open_counts,
     dilate_list,
     ehrhart_via_independent_sets,
@@ -207,23 +205,20 @@ class TestClassifyPoint:
 
 class TestBruteForceCount:
     def test_worked_example_counts(self):
-        assert brute_force_count(WORKED, 1, CountMode.CLOSED) == 18
-        assert brute_force_count(WORKED, 2, CountMode.CLOSED) == 57
-        assert brute_force_count(WORKED, 1, CountMode.OPEN) == 6
-        assert brute_force_count(WORKED, 2, CountMode.OPEN) == 33
+        assert closed_open_counts(WORKED, 1) == (18, 6)
+        assert closed_open_counts(WORKED, 2) == (57, 33)
 
     def test_unit_square_dilated(self):
-        assert brute_force_count(UNIT_SQUARE, 5, CountMode.CLOSED) == 36
-        assert brute_force_count(UNIT_SQUARE, 5, CountMode.OPEN) == 16
+        assert closed_open_counts(UNIT_SQUARE, 5) == (36, 16)
 
     def test_box_cap(self):
         with pytest.raises(BoxTooLarge):
-            brute_force_count(WORKED, 2, CountMode.CLOSED, max_box=10)
+            closed_open_counts(WORKED, 2, max_box=10)
 
     def test_dimension_cap(self):
         X = VectorList(5, [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)])
         with pytest.raises(BoxTooLarge):
-            brute_force_count(X, 1, CountMode.CLOSED)
+            closed_open_counts(X, 1)
 
     def test_line_count_matches_point_scan(self, small_corpus):
         for X in small_corpus[:6]:
@@ -277,8 +272,8 @@ class TestBruteForceCount:
     def test_dilation_compatibility(self, small_corpus):
         for X in small_corpus[:8]:
             for q in (2, 3):
-                lhs = brute_force_count(X, q, CountMode.CLOSED)
-                rhs = brute_force_count(dilate_list(X, q), 1, CountMode.CLOSED)
+                lhs = closed_open_counts(X, q)[0]
+                rhs = closed_open_counts(dilate_list(X, q), 1)[0]
                 assert lhs == rhs
 
     def test_boundary_count_at_least_vertex_count_floor(self, small_corpus):
