@@ -29,12 +29,9 @@ from .exact_linalg import (
 from .polynomials import (
     BiPoly,
     UniPoly,
-    bipoly_from_json,
-    bipoly_to_json,
     expand_shifted_basis,
+    poly_to_json,
     reverse_coefficients,
-    unipoly_from_json,
-    unipoly_to_json,
 )
 from .tutte_core import (
     TutteResult,
@@ -74,8 +71,6 @@ __all__ = [
     "UniPoly",
     "VectorList",
     "ZonotutteError",
-    "bipoly_from_json",
-    "bipoly_to_json",
     "classical_tutte",
     "closed_open_counts",
     "determinant",
@@ -90,10 +85,9 @@ __all__ = [
     "multiplicity",
     "multiplicity_tutte",
     "partition_function",
+    "poly_to_json",
     "rank",
     "reverse_coefficients",
     "scalar_corollaries",
-    "unipoly_from_json",
-    "unipoly_to_json",
     "zonotope_hrep",
 ]

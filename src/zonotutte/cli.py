@@ -45,18 +45,14 @@ from .errors import (
     DimensionDeficient,
     ListTooLarge,
 )
-from .exact_linalg import VectorList, _check_int
+from .exact_linalg import VectorList
 from .geometry_oracle import MAX_BOX_POINTS, closed_open_counts
 from .polynomials import (
     BiPoly,
     UniPoly,
-    bipoly_from_json,
-    bipoly_to_json,
-    format_bipoly,
-    format_unipoly,
+    format_poly,
+    poly_to_json,
     reverse_coefficients,
-    unipoly_from_json,
-    unipoly_to_json,
 )
 from .tutte_core import (
     MAX_LIST_SIZE,
@@ -83,7 +79,9 @@ def _vector_list_from_doc(doc) -> VectorList:
         raise InputError("input document must be a JSON object")
     if "dim" not in doc or "vectors" not in doc:
         raise InputError('input document needs keys "dim" and "vectors"')
-    dim = _check_int(doc["dim"])
+    dim = doc["dim"]
+    if type(dim) is not int:  # JSON true/false decode to bool, an int subclass
+        raise InputError(f'"dim" must be an integer, got {dim!r}')
     if dim < 1:
         raise InputError(f'"dim" must be positive, got {dim}')
     if not isinstance(doc["vectors"], list):
@@ -115,17 +113,18 @@ def _load_input(args) -> VectorList:
         return _vector_list_from_inline(args.vectors)
     try:
         if args.input == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.read()
         else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.input, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(data)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers syntax errors and integers beyond the
-        # interpreter's digit limit; RecursionError, nesting too deep
+        # ValueError covers syntax errors, bytes that do not decode and
+        # integers beyond the interpreter's digit limit; RecursionError,
+        # nesting too deep
         raise InputError(f"invalid JSON: {exc}") from exc
     try:
         return _vector_list_from_doc(doc)
@@ -158,8 +157,8 @@ def _cmd_tutte(X: VectorList, args) -> dict:
         "input": _input_echo(X),
         "results": {
             "kind": "classical" if args.classical else "multiplicity",
-            "monomial": bipoly_to_json(result.polynomial),
-            "shifted": bipoly_to_json(BiPoly(result.shifted_terms), ("x-1", "y-1")),
+            "monomial": poly_to_json(result.polynomial, ("x", "y")),
+            "shifted": poly_to_json(BiPoly(result.shifted_terms), ("x-1", "y-1")),
             "is_unimodular": result.is_unimodular,
         },
     }
@@ -171,8 +170,8 @@ def _cmd_ehrhart(X: VectorList, args) -> dict:
         "command": "ehrhart",
         "input": _input_echo(X),
         "results": {
-            "ehrhart": unipoly_to_json(summary.ehrhart),
-            "interior": unipoly_to_json(summary.interior),
+            "ehrhart": poly_to_json(summary.ehrhart, ("q",)),
+            "interior": poly_to_json(summary.interior, ("q",)),
             "volume": str(summary.volume),
         },
     }
@@ -229,15 +228,11 @@ def _cmd_verify(X: VectorList, args) -> dict:
             }
         )
 
-    record(
-        "ehrhart_theorem_equals_independent_sets",
-        format_unipoly(E_theorem),
-        format_unipoly(E_direct),
-    )
+    record("ehrhart_theorem_equals_independent_sets", E_theorem, E_direct)
 
     for q in q_list:
         lhs, rhs = dilation_identity_sides(X, q, max_list_size=args.max_subsets, base=M)
-        record(f"dilation_identity_q{q}", format_bipoly(lhs), format_bipoly(rhs))
+        record(f"dilation_identity_q{q}", lhs, rhs)
 
     # E and I are read off M's shifted coefficients; the checks below read
     # them again from the monomial form M.polynomial, as M(t+1, 1) and
@@ -248,36 +243,27 @@ def _cmd_verify(X: VectorList, args) -> dict:
         [(-1) ** k * c for k, c in enumerate(shifted_y1.coefficients)]
     )
     spec_interior = reverse_coefficients(alternating, n)
-    record(
-        "interior_specialization",
-        format_unipoly(I_poly),
-        format_unipoly(spec_interior),
-    )
-
-    record(
-        "coefficient_reversal",
-        format_unipoly(reverse_coefficients(E_theorem, n)),
-        format_unipoly(shifted_y1),
-    )
+    record("interior_specialization", I_poly, spec_interior)
+    record("coefficient_reversal", reverse_coefficients(E_theorem, n), shifted_y1)
 
     points, volume, interior_points = scalar_corollaries(M)
-    record("volume_identity", str(E_theorem.coefficient(n)), str(volume))
+    record("volume_identity", E_theorem.coefficient(n), volume)
 
     if args.oracle:
         for q in q_list:
             closed, opened = counts[q]
-            record(f"closed_count_q{q}", str(E_theorem.evaluate(q)), str(closed))
-            record(f"interior_count_q{q}", str(I_poly.evaluate(q)), str(opened))
+            record(f"closed_count_q{q}", E_theorem.evaluate(q), closed)
+            record(f"interior_count_q{q}", I_poly.evaluate(q), opened)
         closed1, opened1 = counts[1]
-        record("corollary_points", str(points), str(closed1))
-        record("corollary_interior_points", str(interior_points), str(opened1))
+        record("corollary_points", points, closed1)
+        record("corollary_interior_points", interior_points, opened1)
 
     return {
         "command": "verify",
         "input": _input_echo(X),
         "results": {
-            "ehrhart": unipoly_to_json(E_theorem),
-            "interior": unipoly_to_json(I_poly),
+            "ehrhart": poly_to_json(E_theorem, ("q",)),
+            "interior": poly_to_json(I_poly, ("q",)),
             "all_pass": all(c["pass"] for c in checks),
         },
         "checks": checks,
@@ -295,15 +281,13 @@ def _render_pretty(report: dict) -> str:
     results = report.get("results", {})
     command = report["command"]
     if command == "tutte":
-        monomial = bipoly_from_json(results["monomial"])
-        shifted = bipoly_from_json(results["shifted"])
         lines.append(f"kind: {results['kind']}")
-        lines.append(f"monomial: {format_bipoly(monomial)}")
-        lines.append(f"shifted:  {format_bipoly(shifted, '(x-1)', '(y-1)')}")
+        lines.append(f"monomial: {format_poly(results['monomial'])}")
+        lines.append(f"shifted:  {format_poly(results['shifted'])}")
         lines.append(f"unimodular: {results['is_unimodular']}")
     elif command == "ehrhart":
-        lines.append(f"ehrhart:  {format_unipoly(unipoly_from_json(results['ehrhart']))}")
-        lines.append(f"interior: {format_unipoly(unipoly_from_json(results['interior']))}")
+        lines.append(f"ehrhart:  {format_poly(results['ehrhart'])}")
+        lines.append(f"interior: {format_poly(results['interior'])}")
         lines.append(f"volume:   {results['volume']}")
     elif command in ("count", "interior", "volume"):
         if "q" in results:

@@ -55,14 +55,9 @@ class IntMatrix:
             _check_int(e)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         data = [tuple(r) for r in rows]
-        if data:
-            width = len(data[0])
-        elif cols is not None:
-            width = cols
-        else:
-            width = 0
+        width = len(data[0]) if data else 0
         if any(len(r) != width for r in data):
             raise ValueError("rows have inconsistent lengths")
         flat = tuple(e for r in data for e in r)

@@ -11,6 +11,11 @@ must be int (bool is refused).  A polynomial holds whichever basis its
 caller fills it with; expand_shifted_basis turns coefficients of
 (x-1)^i (y-1)^j into the monomial basis.  evaluate does plain arithmetic
 on the numbers it is given, so integer arguments give an int.
+
+Both classes list their terms, highest degree first, through
+sorted_terms().  poly_to_json writes those terms as the JSON document the
+CLI reports, and format_poly turns that document into text; str() of a
+polynomial is that text, e.g. "x^2 + 4x + y + 5" or "11q^2 - 6q + 1".
 """
 
 from __future__ import annotations
@@ -36,9 +41,6 @@ class BiPoly:
                 clean[(i, j)] = c
         self._terms = clean
 
-    def coefficient(self, i: int, j: int) -> int:
-        return self._terms.get((i, j), 0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms in descending x-degree, then descending y-degree."""
         return sorted(self._terms.items(), key=lambda t: (-t[0][0], -t[0][1]))
@@ -62,8 +64,11 @@ class BiPoly:
             return NotImplemented
         return self._terms == other._terms
 
+    def __str__(self) -> str:
+        return format_poly(poly_to_json(self, ("x", "y")))
+
     def __repr__(self) -> str:
-        return f"BiPoly({format_bipoly(self)})"
+        return f"BiPoly({self})"
 
 
 class UniPoly:
@@ -93,6 +98,14 @@ class UniPoly:
             return self._coeffs[k]
         return 0
 
+    def sorted_terms(self) -> list[tuple[tuple[int], int]]:
+        """Nonzero terms ((k,), c_k) in descending degree."""
+        return [
+            ((k,), c)
+            for k in range(len(self._coeffs) - 1, -1, -1)
+            if (c := self._coeffs[k])
+        ]
+
     def evaluate(self, t):
         total = 0
         for c in reversed(self._coeffs):
@@ -114,8 +127,11 @@ class UniPoly:
             return NotImplemented
         return self._coeffs == other._coeffs
 
+    def __str__(self) -> str:
+        return format_poly(poly_to_json(self, ("q",)))
+
     def __repr__(self) -> str:
-        return f"UniPoly({format_unipoly(self)})"
+        return f"UniPoly({self})"
 
 
 def expand_shifted_basis(terms: Mapping[tuple[int, int], int]) -> BiPoly:
@@ -143,76 +159,38 @@ def reverse_coefficients(P: UniPoly, n: int) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON document and text form
 #
 # Coefficients travel as decimal strings so arbitrary-precision integers
 # survive any JSON parser; term order is descending degree throughout.
+# The exponents of the first and second variable are keyed "i" and "j".
 
-def bipoly_to_json(P: BiPoly, variables: tuple[str, str] = ("x", "y")) -> dict:
+_EXPONENT_KEYS = ("i", "j")
+
+
+def poly_to_json(P: BiPoly | UniPoly, variables: tuple[str, ...]) -> dict:
+    keys = _EXPONENT_KEYS[: len(variables)]
     return {
         "vars": list(variables),
-        "terms": [
-            {"i": i, "j": j, "c": str(c)} for (i, j), c in P.sorted_terms()
-        ],
+        "terms": [dict(zip(keys, exps), c=str(c)) for exps, c in P.sorted_terms()],
     }
 
 
-def bipoly_from_json(doc: Mapping) -> BiPoly:
-    return BiPoly({(t["i"], t["j"]): int(t["c"]) for t in doc["terms"]})
-
-
-def unipoly_to_json(P: UniPoly, variable: str = "q") -> dict:
-    terms = [
-        {"i": k, "c": str(c)}
-        for k in range(P.degree, -1, -1)
-        if (c := P.coefficient(k)) != 0
-    ]
-    return {"vars": [variable], "terms": terms}
-
-
-def unipoly_from_json(doc: Mapping) -> UniPoly:
-    coeffs: dict[int, int] = {_check_int(t["i"]): int(t["c"]) for t in doc["terms"]}
-    size = max(coeffs, default=-1) + 1
-    return UniPoly([coeffs.get(k, 0) for k in range(size)])
-
-
-# ---------------------------------------------------------------------------
-# Human-readable formatting
-
-def _format_terms(parts: list[tuple[int, str]]) -> str:
-    if not parts:
-        return "0"
+def format_poly(doc: Mapping) -> str:
+    """Text of a poly_to_json document; a variable longer than one
+    character is parenthesized, so "x-1" prints as "(x-1)"."""
+    names = [(k, v if len(v) == 1 else f"({v})") for k, v in zip(_EXPONENT_KEYS, doc["vars"])]
     pieces: list[str] = []
-    for coeff, mono in parts:
-        mag = abs(coeff)
-        body = mono if mag == 1 and mono else f"{mag}{mono}"
-        if not pieces:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+    for term in doc["terms"]:
+        mono = ""
+        for k, v in names:
+            if e := term[k]:
+                mono += v if e == 1 else f"{v}^{e}"
+        c = term["c"]
+        mag = c.removeprefix("-")
+        body = mono if mag == "1" and mono else mag + mono
+        if pieces:
+            pieces.append(f"{'+' if mag == c else '-'} {body}")
         else:
-            pieces.append(f"{'-' if coeff < 0 else '+'} {body}")
-    return " ".join(pieces)
-
-
-def _monomial(var: str, exp: int) -> str:
-    if exp == 0:
-        return ""
-    if exp == 1:
-        return var
-    return f"{var}^{exp}"
-
-
-def format_bipoly(P: BiPoly, xvar: str = "x", yvar: str = "y") -> str:
-    parts = []
-    for (i, j), c in P.sorted_terms():
-        parts.append((c, _monomial(xvar, i) + _monomial(yvar, j)))
-    return _format_terms(parts)
-
-
-def format_unipoly(P: UniPoly, var: str = "q") -> str:
-    parts = []
-    for k in range(P.degree, -1, -1):
-        c = P.coefficient(k)
-        if c:
-            parts.append((c, _monomial(var, k)))
-    return _format_terms(parts)
-
+            pieces.append(body if mag == c else f"-{body}")
+    return " ".join(pieces) or "0"

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import zonotutte
 from zonotutte.cli import main
 
@@ -87,6 +89,11 @@ class TestTutteCommand:
         assert "timing_ms" in report
         no_timing = run_json(capsys, "tutte", "--vectors", "3,0;0,2;1,1")
         assert "timing_ms" not in no_timing
+        code, out, _ = run_cli(
+            capsys, "tutte", "--pretty", "--timing", "--vectors", "3,0;0,2;1,1"
+        )
+        assert code == 0
+        assert out.splitlines()[-1].startswith("timing_ms: ")
 
 
 class TestScalarCommands:
@@ -354,17 +361,52 @@ class TestExitCodes:
     def test_parse_error_non_integer(self, capsys, monkeypatch):
         import io
 
-        for doc in (
-            '{"dim": 1, "vectors": [[1.5]]}',
-            '{"dim": 2, "vectors": [[true, 0]]}',
-            '{"dim": 2, "vectors": ["ab"]}',
-            '{"dim": 1, "vectors": [5]}',
-            '{"dim": "2", "vectors": [[1, 0]]}',
+        dim_error = 'error: "dim" must be an integer'
+        for doc, message in (
+            ('{"dim": 1, "vectors": [[1.5]]}', "error:"),
+            ('{"dim": 2, "vectors": [[true, 0]]}', "error:"),
+            ('{"dim": 2, "vectors": ["ab"]}', "error:"),
+            ('{"dim": 1, "vectors": [5]}', "error:"),
+            ('{"dim": "2", "vectors": [[1, 0]]}', dim_error),
+            ('{"dim": 2.0, "vectors": [[1, 0]]}', dim_error),
         ):
             monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
             code, out, err = run_cli(capsys, "tutte")
             assert code == 2, doc
-            assert not out and err.startswith("error:"), doc
+            assert not out and err.startswith(message), doc
+
+    # (argv, stdin); "{tmp}" in argv stands for a directory
+    INPUT_FAILURES = {
+        "not_an_object": (["tutte"], "[1, 2]"),
+        "no_vectors_key": (["tutte"], '{"dim": 2}'),
+        "dim_zero": (["tutte"], '{"dim": 0, "vectors": []}'),
+        "vectors_not_a_list": (["tutte"], '{"dim": 2, "vectors": "1,0"}'),
+        "inline_not_an_integer": (["tutte", "--vectors", "1,x"], ""),
+        "inline_empty": (["tutte", "--vectors", " ; "], ""),
+        "inline_ragged": (["tutte", "--vectors", "1,2;3"], ""),
+        "directory_as_input": (["tutte", "{tmp}"], ""),
+        "q_list_not_an_integer": (["verify", "--q-list", "a", "--vectors", "1,0;0,1"], ""),
+        "q_list_empty": (["verify", "--q-list", ",", "--vectors", "1,0;0,1"], ""),
+    }
+
+    @pytest.mark.parametrize("case", list(INPUT_FAILURES))
+    def test_input_failure_is_one_error_line(self, case, capsys, monkeypatch, tmp_path):
+        import io
+
+        argv, stdin = self.INPUT_FAILURES[case]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert not out
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_file_that_is_not_utf8_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff" + WORKED_DOC.encode())
+        code, out, err = run_cli(capsys, "tutte", str(path))
+        assert code == 2
+        assert not out
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1, err
 
     def test_dimension_deficient(self, capsys, monkeypatch):
         import io
