@@ -113,7 +113,9 @@ def _load_input(args) -> VectorList:
         return _vector_list_from_inline(args.vectors)
     try:
         if args.input == "-":
-            data = sys.stdin.read()
+            # bytes where the stream has them, so json.loads decodes them
+            # and a byte that does not decode is malformed input
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
         else:
             with open(args.input, "rb") as fh:
                 data = fh.read()
@@ -165,7 +167,7 @@ def _cmd_tutte(X: VectorList, args) -> dict:
 
 
 def _cmd_ehrhart(X: VectorList, args) -> dict:
-    summary = ehrhart_summary(multiplicity_tutte(X, max_list_size=args.max_subsets))
+    summary = ehrhart_summary(X, max_list_size=args.max_subsets)
     return {
         "command": "ehrhart",
         "input": _input_echo(X),
@@ -178,8 +180,7 @@ def _cmd_ehrhart(X: VectorList, args) -> dict:
 
 
 def _scalar_report(X: VectorList, args, command: str) -> dict:
-    M = multiplicity_tutte(X, max_list_size=args.max_subsets)
-    summary = ehrhart_summary(M)
+    summary = ehrhart_summary(X, max_list_size=args.max_subsets)
     if command == "volume":
         value = summary.volume
         method = "M_X(1,1), the leading Ehrhart coefficient"

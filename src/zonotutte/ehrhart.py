@@ -1,17 +1,22 @@
 """Ehrhart and interior polynomials of the zonotope of a vector list.
 
-Two independent routes produce the lattice-point counting polynomial E(q)
-of the zonotope generated by X:
+The lattice-point counting polynomial E(q) of the zonotope generated by X
+is the specialization E(q) = q^n M(1 + 1/q, 1) of the multiplicity-
+weighted Tutte polynomial.  Every sublist larger than its rank vanishes
+at y = 1, so the coefficient of q^k is c_(n-k),0, the sum of m(A) over
+the independent sublists A of size k.  Three routes produce it:
 
-  * a specialization of the multiplicity-weighted Tutte polynomial,
-    E(q) = q^n M(1 + 1/q, 1): the coefficient of q^k is the coefficient
-    c_(n-k),0 of (x-1)^(n-k) in M's shifted basis, read straight off the
-    Tutte sum;
-  * a direct sum m(A) q^|A| over the linearly independent sublists A,
-    with m(A) the gcd of the |A| x |A| minors of A (0 when A is
-    dependent).  The sum reads no Hermite normal form, so it does not
-    share the lattice kernel the Tutte sum is built on; only the input
-    check, common to both routes, ranks X with that kernel.
+  * ehrhart_via_theorem reads c_(n-k),0 off a whole M_X (tutte and
+    verify, which build M_X anyway);
+  * ehrhart_summary sums the independent sublists alone on the lattice
+    kernel of the Tutte sum (the ehrhart, count, volume and interior
+    commands, which need no more of M_X);
+  * ehrhart_via_independent_sets groups the independent sublists by
+    their k-vector a_1 ^ ... ^ a_k, whose coordinates are the k x k
+    minors, so m(A) is their gcd.  It builds no Hermite form and takes
+    no determinant, so it shares no arithmetic with the other two: it is
+    verify's second route and the benchmark's reference.  Only the
+    input check is common to all three.
 
 The interior counting polynomial is I(q) = (-1)^n E(-q) (reciprocity),
 which as a specialization reads q^n M(1 - 1/q, 1), so its coefficient of
@@ -23,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from .errors import DegreeMismatch
-from .exact_linalg import VectorList, minor_gcd
+from .exact_linalg import VectorList
 from .polynomials import UniPoly
-from .tutte_core import MAX_LIST_SIZE, TutteResult, check_input
+from .tutte_core import MAX_LIST_SIZE, TutteResult, _independent_sum, check_input
 
 
 @dataclass(frozen=True)
@@ -55,15 +61,38 @@ def ehrhart_via_theorem(M: TutteResult) -> UniPoly:
 def ehrhart_via_independent_sets(
     X: VectorList, *, max_list_size: int = MAX_LIST_SIZE
 ) -> UniPoly:
-    """Ehrhart polynomial summed directly over independent sublists of X."""
+    """Ehrhart polynomial summed over the independent sublists of X.
+
+    counts[k] maps the k-vector w of an independent k-sublist, signed so
+    that its first nonzero coordinate is positive, to the number of such
+    sublists.  Adding v maps w to w ^ v; a zero result is a dependent
+    sublist and is dropped.  The coefficient of q^k is the sum of
+    count * gcd(w).
+    """
     check_input(X, max_list_size)
     n = X.dim
-    return UniPoly(
-        [
-            sum(minor_gcd(A, n, size) for A in combinations(X.vectors, size))
-            for size in range(n + 1)
-        ]
-    )
+    # (w ^ v)_S, the minor on the rows S = (S_0 < ... < S_k) expanded along
+    # v's column, is sum_j (-1)^(k+j) v[S_j] w[S minus S_j]; the coordinates
+    # of a level follow combinations() order
+    rules = []
+    for k in range(n):
+        index = {S: i for i, S in enumerate(combinations(range(n), k))}
+        rules.append([
+            [((-1) ** (k + j), S[j], index[S[:j] + S[j + 1 :]]) for j in range(k + 1)]
+            for S in combinations(range(n), k + 1)
+        ])
+    counts: list[dict[tuple[int, ...], int]] = [{(1,): 1}] + [{} for _ in range(n)]
+    for v in X.vectors:
+        for k in range(n - 1, -1, -1):
+            terms = [[(sign * v[i], t) for sign, i, t in rule if v[i]] for rule in rules[k]]
+            target = counts[k + 1]
+            for w, c in counts[k].items():
+                u = [sum(a * w[t] for a, t in term) for term in terms]
+                lead = next((x for x in u if x), 0)
+                if lead:
+                    key = tuple(u) if lead > 0 else tuple(-x for x in u)
+                    target[key] = target.get(key, 0) + c
+    return UniPoly([sum(c * gcd(*w) for w, c in level.items()) for level in counts])
 
 
 def interior_polynomial(E: UniPoly, n: int) -> UniPoly:
@@ -87,12 +116,14 @@ def scalar_corollaries(M: TutteResult) -> tuple[int, int, int]:
     return values[0], values[1], values[2]
 
 
-def ehrhart_summary(M: TutteResult) -> EhrhartResult:
-    """Bundle Ehrhart polynomial, interior polynomial and volume for M."""
-    n = M.ambient_dim
-    ehrhart = ehrhart_via_theorem(M)
-    if ehrhart.coefficient(0) != 1:
-        raise AssertionError("Ehrhart constant term must be 1")
+def ehrhart_summary(X: VectorList, *, max_list_size: int = MAX_LIST_SIZE) -> EhrhartResult:
+    """Ehrhart polynomial, interior polynomial and volume of Z(X).
+
+    E is summed over the independent sublists alone (the y = 1 slice of
+    the Tutte sum), without building the rest of M_X.
+    """
+    n = X.dim
+    ehrhart = UniPoly(_independent_sum(X, max_list_size))
     return EhrhartResult(
         ehrhart=ehrhart,
         interior=interior_polynomial(ehrhart, n),

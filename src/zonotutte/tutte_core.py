@@ -17,18 +17,22 @@ so far, how many sublists of each size span it.  Each vector either
 leaves a sublist's lattice as it is (skipped) or extends it (added).
 Lattices are keyed by their canonical Hermite normal form, and m(L) is
 computed once per lattice at the end.
+
+At y = 1 only independent sublists contribute; _independent_sum is the
+same pass over those alone, for the Ehrhart side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from .errors import ListTooLarge
 from .exact_linalg import (
     Lattice,
     VectorList,
     check_full_rank,
+    cofactors,
     hnf_insert,
     lattice_multiplicity,
 )
@@ -103,6 +107,43 @@ def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult
         list_size=len(X),
         is_unimodular=unimodular,
     )
+
+
+def _independent_sum(X: VectorList, max_list_size: int) -> list[int]:
+    """c_(n-k),0 for k = 0..n: the sum of m(A) over the independent
+    sublists A of size k.
+
+    counts[L] is the number of independent sublists spanning L; an
+    extension that does not raise the rank is dropped.  A rank-(n-1)
+    lattice L is never extended: L + Zv has basis B_L and v, so it adds
+    count * |det(B_L, v)| to the top coefficient, a dot product with L's
+    cofactors.
+    """
+    check_input(X, max_list_size)
+    n = X.dim
+    top = 0
+    counts: dict[Lattice, int] = {(): 1}
+    normals: dict[Lattice, tuple[int, ...]] = {}
+    for v in X.vectors:
+        extended = dict(counts)
+        for L, c in counts.items():
+            if len(L) == n - 1:
+                if L not in normals:
+                    normals[L] = cofactors(L, n)
+                top += c * abs(sum(a * b for a, b in zip(normals[L], v)))
+                continue
+            grown = hnf_insert(L, v)
+            if len(grown) > len(L):
+                extended[grown] = extended.get(grown, 0) + c
+        counts = extended
+    coefficients = [0] * (n + 1)
+    coefficients[n] = top
+    for L, c in counts.items():
+        r = len(L)
+        # at rank n-1, m(L) is the gcd of the (n-1)-minors, the cofactors
+        m = gcd(*(normals.get(L) or cofactors(L, n))) if r == n - 1 else lattice_multiplicity(L)
+        coefficients[r] += c * m
+    return coefficients
 
 
 def multiplicity_tutte(X: VectorList, *, max_list_size: int = MAX_LIST_SIZE) -> TutteResult:

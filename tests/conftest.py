@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from zonotutte import VectorList, determinant, rank
@@ -15,6 +16,19 @@ NEAR_1E20 = st.one_of(
     st.integers(-(10**20) - 3, -(10**20) + 3),
     st.integers(-2, 2),
 )
+
+
+@st.composite
+def spanning_lists(draw, entries=st.integers(-10**3, 10**3), max_size=9, max_dim=4):
+    """Full-rank lists in Z^n, n in 1..max_dim, with zero and repeated vectors."""
+    n = draw(st.integers(1, max_dim))
+    distinct = draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=max_size))
+    # index len(distinct) stands for the zero vector
+    picks = draw(st.lists(st.integers(0, len(distinct)), min_size=n, max_size=max_size))
+    vectors = [distinct[i] if i < len(distinct) else (0,) * n for i in picks]
+    X = VectorList(n, vectors)
+    assume(rank(X) == n)
+    return X
 
 
 def random_full_rank_list(rng, n, max_size=6, bound=5):

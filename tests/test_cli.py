@@ -117,6 +117,32 @@ class TestScalarCommands:
         assert (first["results"]["q"], first["results"]["value"]) == (3, "16")
         assert (second["results"]["q"], second["results"]["value"]) == (1, "4")
 
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["ehrhart"], "volume", "11"),
+            (["count", "--q", "2"], "value", "57"),
+            (["volume"], "value", "11"),
+            (["interior", "--q", "2"], "value", "33"),
+        ],
+    )
+    def test_ehrhart_only_commands_skip_the_full_sum(self, capsys, monkeypatch, argv, key, value):
+        # these commands read E off the y = 1 sum alone, and never off the
+        # k-vector DP that verify and the benchmark check them against
+        import zonotutte.cli as cli
+        import zonotutte.ehrhart as ehrhart
+        import zonotutte.tutte_core as tutte_core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called by an Ehrhart-only command")
+
+        for module in (cli, tutte_core):
+            monkeypatch.setattr(module, "multiplicity_tutte", refuse)
+        for module in (cli, ehrhart):
+            monkeypatch.setattr(module, "ehrhart_via_independent_sets", refuse)
+        report = run_json(capsys, *argv, "--vectors", "3,0;0,2;1,1")
+        assert report["results"][key] == value
+
     def test_ehrhart_command(self, capsys):
         report = run_json(capsys, "ehrhart", "--vectors", "3,0;0,2;1,1")
         assert report["results"]["ehrhart"]["terms"] == [
@@ -228,6 +254,27 @@ class TestVerifyFailurePath:
         assert failing and failing[0]["identity"] == (
             "ehrhart_theorem_equals_independent_sets"
         )
+
+    def test_a_faulty_minor_gcd_fails_verify(self, capsys, monkeypatch):
+        # the theorem route reads m(L) below full rank off minor_gcd; the
+        # independent-set route never calls it, so a fault there must show
+        import zonotutte.exact_linalg as exact_linalg
+
+        real = exact_linalg.minor_gcd
+
+        def doubled(vectors, dim, k):
+            g = real(vectors, dim, k)
+            return 2 * g if k == 1 else g
+
+        # the fault reaches every module that imported the function
+        for name, module in list(sys.modules.items()):
+            if name.startswith("zonotutte") and getattr(module, "minor_gcd", None) is real:
+                monkeypatch.setattr(module, "minor_gcd", doubled)
+        code, out, _ = run_cli(capsys, "verify", "--vectors", "3,0;0,2;1,1")
+        assert code == 1
+        failing = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        assert failing[0]["identity"] == "ehrhart_theorem_equals_independent_sets"
+        assert failing[0]["rhs"] == "11q^2 + 6q + 1"
 
     def test_second_readings_catch_a_wrong_monomial_form(self, capsys, monkeypatch):
         # E is read off the shifted coefficients; a fault in the monomial
@@ -505,23 +552,39 @@ class TestBigResults:
         assert any(c["identity"] == "closed_count_q3" for c in report["checks"])
 
 
+def child_env(**extra):
+    """Environment for a child that imports the same package as the tests,
+    installed or not."""
+    src = os.path.dirname(os.path.dirname(zonotutte.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        # the child imports the same package as the tests, installed or not
-        src = os.path.dirname(os.path.dirname(zonotutte.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "zonotutte", "volume", "--vectors", "3,0;0,2;1,1"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["value"] == "11"
 
+    def test_stdin_that_is_not_utf8_is_malformed(self):
+        # a strict stdin decoder would raise before json.loads saw the input
+        proc = subprocess.run(
+            [sys.executable, "-m", "zonotutte", "tutte"],
+            input=b"\xff" + WORKED_DOC.encode(),
+            capture_output=True,
+            env=child_env(PYTHONIOENCODING="utf-8"),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid JSON")
+
     def test_runs_without_numpy(self):
-        src = os.path.dirname(os.path.dirname(zonotutte.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         code = (
             "import sys\n"
             "import zonotutte.cli\n"
@@ -534,7 +597,7 @@ class TestConsoleEntry:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["all_pass"] is True

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonotutte import (
     DegreeMismatch,
@@ -16,6 +18,8 @@ from zonotutte import (
     rank,
     scalar_corollaries,
 )
+from conftest import spanning_lists
+from tutte_reference import ehrhart_reference
 
 WORKED = VectorList(2, [(3, 0), (0, 2), (1, 1)])
 UNIT_SQUARE = VectorList(2, [(1, 0), (0, 1)])
@@ -79,6 +83,88 @@ class TestEhrhartViaIndependentSets:
             checked += 1
 
 
+class TestAgainstMinorsReference:
+    """The three Ehrhart routes against the per-sublist minors enumeration:
+    the k-vector DP, the y = 1 lattice DP and E read off the whole M_X."""
+
+    @staticmethod
+    def check(X):
+        expected = ehrhart_reference(X)
+        assert ehrhart_via_independent_sets(X) == expected
+        assert ehrhart_summary(X).ehrhart == expected
+        assert ehrhart_via_theorem(multiplicity_tutte(X)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(spanning_lists(entries=st.integers(-6, 6)))
+    def test_random_lists(self, X):
+        self.check(X)
+
+    def test_entries_up_to_ten_to_the_twenty(self):
+        big = 10**20
+        X = VectorList(
+            4,
+            [
+                (big, 1, 0, -3),
+                (0, 0, 0, 0),
+                (-big, big - 1, 2, 0),
+                (1, -1, big, 1),
+                (big, 1, 0, -3),
+                (0, 7, -big, big),
+                (2, 0, 0, big + 1),
+                (-1, -1, -1, -1),
+            ],
+        )
+        self.check(X)
+
+
+def braid_list(n):
+    """Pi_n: the positive roots e_i - e_j (i < j) of A_(n-1) with the last
+    coordinate dropped, a unimodular list spanning Z^(n-1)."""
+    vectors = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = [0] * n
+            v[i], v[j] = 1, -1
+            vectors.append(tuple(v[:-1]))
+    return VectorList(n - 1, vectors)
+
+
+def root_list(kind, n):
+    """D_n = {e_i - e_j, e_i + e_j : i < j}; B_n adds the e_i."""
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    vectors = [
+        tuple(a + s * b for a, b in zip(unit[i], unit[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for s in (-1, 1)
+    ]
+    return VectorList(n, vectors + (unit if kind == "B" else []))
+
+
+# E(1) of Pi_n counts the forests of K_n (OEIS A001858) and its volume the
+# spanning trees, n^(n-2) (Cayley); D_4 and B_4 as in Ardila-Castillo-
+# Henley, IMRN 2015
+KNOWN_ANSWERS = {
+    **{
+        f"Pi_{n}": (braid_list(n), points, n ** (n - 2))
+        for n, points in zip(range(3, 8), (7, 38, 291, 2932, 36961))
+    },
+    "D_4": (root_list("D", 4), 1001, 636),
+    "B_4": (root_list("B", 4), 2304, 1553),
+}
+
+
+@pytest.mark.parametrize("name", KNOWN_ANSWERS)
+def test_known_answers(name):
+    X, points, volume = KNOWN_ANSWERS[name]
+    for E in (
+        ehrhart_via_independent_sets(X),
+        ehrhart_summary(X).ehrhart,
+        ehrhart_via_theorem(multiplicity_tutte(X)),
+    ):
+        assert (E.evaluate(1), E.coefficient(X.dim)) == (points, volume)
+
+
 class TestInteriorPolynomial:
     def test_worked_example(self):
         assert interior_polynomial(UniPoly([1, 6, 11]), 2) == UniPoly([1, -6, 11])
@@ -113,7 +199,7 @@ class TestScalarCorollaries:
 
 class TestSummaryAndInvariants:
     def test_summary_bundle(self):
-        summary = ehrhart_summary(multiplicity_tutte(WORKED))
+        summary = ehrhart_summary(WORKED)
         assert summary.ehrhart == UniPoly([1, 6, 11])
         assert summary.interior == UniPoly([1, -6, 11])
         assert summary.volume == 11

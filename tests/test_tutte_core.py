@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonotutte import (
@@ -16,7 +16,7 @@ from zonotutte import (
     multiplicity_tutte,
     rank,
 )
-from conftest import NEAR_1E20, random_unimodular_list
+from conftest import NEAR_1E20, random_unimodular_list, spanning_lists
 from tutte_reference import reference_tutte_sums
 
 WORKED = VectorList(2, [(3, 0), (0, 2), (1, 1)])
@@ -146,19 +146,6 @@ class TestDilationIdentity:
             for q in (2, 3, 5):
                 lhs, rhs = dilation_identity_sides(X, q)
                 assert lhs == rhs
-
-
-@st.composite
-def spanning_lists(draw, entries=st.integers(-10**3, 10**3), max_size=9, max_dim=4):
-    """Full-rank lists in Z^n, n in 1..max_dim, with zero and repeated vectors."""
-    n = draw(st.integers(1, max_dim))
-    distinct = draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=max_size))
-    # index len(distinct) stands for the zero vector
-    picks = draw(st.lists(st.integers(0, len(distinct)), min_size=n, max_size=max_size))
-    vectors = [distinct[i] if i < len(distinct) else (0,) * n for i in picks]
-    X = VectorList(n, vectors)
-    assume(rank(X) == n)
-    return X
 
 
 class TestAgainstSublistEnumeration:

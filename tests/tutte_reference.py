@@ -1,13 +1,16 @@
-"""Test-only reference for the Tutte sum: determinantal divisors per sublist.
+"""Test-only references for the Tutte and Ehrhart sums: minors per sublist.
 
-This is the direct enumeration of the defining sum over all 2^|X|
-sublists.  Rank and multiplicity of each sublist come from its minors:
-r(A) is the largest k with a nonzero k x k minor, and m(A) is the gcd of
-the r x r minors.  No Hermite normal form is built, so the reference is
-independent of the lattice DP in tutte_core that the property tests
-compare it with.
+These are the direct enumerations of the defining sums over sublists.
+Rank and multiplicity of each sublist come from its minors: r(A) is the
+largest k with a nonzero k x k minor, and m(A) is the gcd of the r x r
+minors.  No Hermite normal form is built, so the references are
+independent of the lattice DPs in tutte_core and of the k-vector DP in
+ehrhart that the property tests compare them with.
 """
 
+from itertools import combinations
+
+from zonotutte import UniPoly
 from zonotutte.exact_linalg import VectorList, minor_gcd
 
 
@@ -44,3 +47,13 @@ def reference_tutte_sums(X: VectorList):
         weighted[key] = weighted.get(key, 0) + mult
         classical[key] = classical.get(key, 0) + 1
     return weighted, classical, unimodular
+
+
+def ehrhart_reference(X: VectorList) -> UniPoly:
+    """E(q) = sum of m(A) q^|A| over the independent sublists A, each
+    visited: the gcd of A's |A| x |A| minors is m(A), or 0 when A is
+    dependent."""
+    n = X.dim
+    return UniPoly(
+        [sum(minor_gcd(A, n, k) for A in combinations(X.vectors, k)) for k in range(n + 1)]
+    )
