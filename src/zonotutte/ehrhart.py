@@ -4,19 +4,17 @@ The lattice-point counting polynomial E(q) of the zonotope generated by X
 is the specialization E(q) = q^n M(1 + 1/q, 1) of the multiplicity-
 weighted Tutte polynomial.  Every sublist larger than its rank vanishes
 at y = 1, so the coefficient of q^k is c_(n-k),0, the sum of m(A) over
-the independent sublists A of size k.  Three routes produce it:
+the independent sublists A of size k.  Two routes produce it:
 
   * ehrhart_via_theorem reads c_(n-k),0 off a whole M_X (tutte and
     verify, which build M_X anyway);
-  * ehrhart_summary sums the independent sublists alone on the lattice
-    kernel of the Tutte sum (the ehrhart, count, volume and interior
-    commands, which need no more of M_X);
   * ehrhart_via_independent_sets groups the independent sublists by
     their k-vector a_1 ^ ... ^ a_k, whose coordinates are the k x k
     minors, so m(A) is their gcd.  It builds no Hermite form and takes
-    no determinant, so it shares no arithmetic with the other two: it is
-    verify's second route and the benchmark's reference.  Only the
-    input check is common to all three.
+    no determinant, so it shares no arithmetic with the theorem route:
+    it is verify's second route, and ehrhart_summary reads E off it for
+    the ehrhart, count, volume and interior commands, which need no more
+    of M_X.  Only the input check is common to both routes.
 
 The interior counting polynomial is I(q) = (-1)^n E(-q) (reciprocity),
 which as a specialization reads q^n M(1 - 1/q, 1), so its coefficient of
@@ -33,7 +31,7 @@ from math import gcd
 from .errors import DegreeMismatch
 from .exact_linalg import VectorList
 from .polynomials import UniPoly
-from .tutte_core import MAX_LIST_SIZE, TutteResult, _independent_sum, check_input
+from .tutte_core import MAX_LIST_SIZE, TutteResult, check_input
 
 
 @dataclass(frozen=True)
@@ -119,11 +117,11 @@ def scalar_corollaries(M: TutteResult) -> tuple[int, int, int]:
 def ehrhart_summary(X: VectorList, *, max_list_size: int = MAX_LIST_SIZE) -> EhrhartResult:
     """Ehrhart polynomial, interior polynomial and volume of Z(X).
 
-    E is summed over the independent sublists alone (the y = 1 slice of
-    the Tutte sum), without building the rest of M_X.
+    E is summed over the independent sublists alone, by their k-vectors
+    (ehrhart_via_independent_sets), without building the rest of M_X.
     """
     n = X.dim
-    ehrhart = UniPoly(_independent_sum(X, max_list_size))
+    ehrhart = ehrhart_via_independent_sets(X, max_list_size=max_list_size)
     return EhrhartResult(
         ehrhart=ehrhart,
         interior=interior_polynomial(ehrhart, n),

@@ -15,10 +15,8 @@ Two exact algorithms serve every caller:
     of that key and lattice_multiplicity reads m(A) off it.
   * Minors (Bareiss determinants).  minor_gcd is the gcd of all k x k
     minors, 0 exactly when the rank is below k; lattice_multiplicity uses
-    it below full rank.  cofactors gives the signed (n-1)-minors of a
-    rank-(n-1) basis, so that its determinant with any further vector is
-    one dot product.  The independent-set Ehrhart sum (ehrhart module)
-    uses none of this.
+    it below full rank.  The independent-set Ehrhart sum (ehrhart
+    module) uses none of this.
 """
 
 from __future__ import annotations
@@ -158,16 +156,6 @@ def minor_gcd(vectors: Sequence[Sequence[int]], dim: int, k: int) -> int:
 
 
 Lattice = tuple[tuple[int, ...], ...]
-
-
-def cofactors(basis: Sequence[Sequence[int]], dim: int) -> tuple[int, ...]:
-    """Signed (dim-1)-minors of a (dim-1) x dim basis: the vector c with
-    det(basis rows, v) = c . v for every v in Z^dim."""
-    r = len(basis)
-    return tuple(
-        (-1) ** (r + i) * _bareiss([[*row[:i], *row[i + 1 :]] for row in basis])
-        for i in range(dim)
-    )
 
 
 def _leading(row: Sequence[int]) -> int:

@@ -210,6 +210,8 @@ def closed_open_counts(
         raise BoxTooLarge(
             f"brute-force counting supports dimension <= {MAX_BRUTE_FORCE_DIM}, got {X.dim}"
         )
+    if not X.dim:
+        return 1, 1  # Z^0 is one point, its own relative interior
     ranges = _box_ranges(X, q)
     H = zonotope_hrep(X, q)
     sides = [hi - lo + 1 for lo, hi in ranges]

@@ -18,21 +18,21 @@ leaves a sublist's lattice as it is (skipped) or extends it (added).
 Lattices are keyed by their canonical Hermite normal form, and m(L) is
 computed once per lattice at the end.
 
-At y = 1 only independent sublists contribute; _independent_sum is the
-same pass over those alone, for the Ehrhart side.
+At y = 1 only independent sublists contribute; the Ehrhart side sums
+those alone, by their k-vectors (ehrhart module), and shares no lattice
+arithmetic with this pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 
 from .errors import ListTooLarge
 from .exact_linalg import (
     Lattice,
     VectorList,
     check_full_rank,
-    cofactors,
     hnf_insert,
     lattice_multiplicity,
 )
@@ -109,43 +109,6 @@ def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult
     )
 
 
-def _independent_sum(X: VectorList, max_list_size: int) -> list[int]:
-    """c_(n-k),0 for k = 0..n: the sum of m(A) over the independent
-    sublists A of size k.
-
-    counts[L] is the number of independent sublists spanning L; an
-    extension that does not raise the rank is dropped.  A rank-(n-1)
-    lattice L is never extended: L + Zv has basis B_L and v, so it adds
-    count * |det(B_L, v)| to the top coefficient, a dot product with L's
-    cofactors.
-    """
-    check_input(X, max_list_size)
-    n = X.dim
-    top = 0
-    counts: dict[Lattice, int] = {(): 1}
-    normals: dict[Lattice, tuple[int, ...]] = {}
-    for v in X.vectors:
-        extended = dict(counts)
-        for L, c in counts.items():
-            if len(L) == n - 1:
-                if L not in normals:
-                    normals[L] = cofactors(L, n)
-                top += c * abs(sum(a * b for a, b in zip(normals[L], v)))
-                continue
-            grown = hnf_insert(L, v)
-            if len(grown) > len(L):
-                extended[grown] = extended.get(grown, 0) + c
-        counts = extended
-    coefficients = [0] * (n + 1)
-    coefficients[n] = top
-    for L, c in counts.items():
-        r = len(L)
-        # at rank n-1, m(L) is the gcd of the (n-1)-minors, the cofactors
-        m = gcd(*(normals.get(L) or cofactors(L, n))) if r == n - 1 else lattice_multiplicity(L)
-        coefficients[r] += c * m
-    return coefficients
-
-
 def multiplicity_tutte(X: VectorList, *, max_list_size: int = MAX_LIST_SIZE) -> TutteResult:
     """Multiplicity-weighted Tutte polynomial of X (X must span Z^n)."""
     return _tutte_sum(X, weighted=True, max_list_size=max_list_size)
@@ -179,11 +142,10 @@ def dilation_identity_sides(
     base, when given, must be multiplicity_tutte(X); it saves recomputing
     the right side's source when several q are checked.
     """
-    if q < 1:
-        raise ValueError(f"dilation factor must be >= 1, got {q}")
+    dilated = dilate_list(X, q)
     if base is None:
         base = multiplicity_tutte(X, max_list_size=max_list_size)
-    lhs = multiplicity_tutte(dilate_list(X, q), max_list_size=max_list_size).polynomial
+    lhs = multiplicity_tutte(dilated, max_list_size=max_list_size).polynomial
     n = base.ambient_dim
     rhs: dict[tuple[int, int], int] = {}
     for (a, b), c in base.polynomial.sorted_terms():

@@ -84,8 +84,9 @@ class TestEhrhartViaIndependentSets:
 
 
 class TestAgainstMinorsReference:
-    """The three Ehrhart routes against the per-sublist minors enumeration:
-    the k-vector DP, the y = 1 lattice DP and E read off the whole M_X."""
+    """The two Ehrhart routes against the per-sublist minors enumeration:
+    the k-vector DP, also through ehrhart_summary (the CLI's entry), and E
+    read off the whole M_X."""
 
     @staticmethod
     def check(X):
@@ -97,6 +98,11 @@ class TestAgainstMinorsReference:
     @settings(max_examples=100, deadline=None)
     @given(spanning_lists(entries=st.integers(-6, 6)))
     def test_random_lists(self, X):
+        self.check(X)
+
+    @settings(max_examples=50, deadline=None)
+    @given(spanning_lists(entries=st.integers(-3, 3), max_size=7, max_dim=6, min_dim=5))
+    def test_random_lists_in_dimension_five_and_six(self, X):
         self.check(X)
 
     def test_entries_up_to_ten_to_the_twenty(self):

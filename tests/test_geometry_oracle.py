@@ -15,6 +15,7 @@ from zonotutte import (
     VectorList,
     closed_open_counts,
     dilate_list,
+    ehrhart_summary,
     ehrhart_via_independent_sets,
     find_positive_functional,
     interior_polynomial,
@@ -210,6 +211,14 @@ class TestBruteForceCount:
 
     def test_unit_square_dilated(self):
         assert closed_open_counts(UNIT_SQUARE, 5) == (36, 16)
+
+    def test_dimension_zero_is_one_point(self):
+        # Z^0 is a point, its own relative interior: E = I = 1 at every q
+        X = VectorList(0, [(), ()])
+        for q in (1, 3):
+            assert closed_open_counts(X, q) == (1, 1)
+        summary = ehrhart_summary(X)
+        assert (summary.ehrhart.evaluate(3), summary.interior.evaluate(3)) == (1, 1)
 
     def test_box_cap(self):
         with pytest.raises(BoxTooLarge):

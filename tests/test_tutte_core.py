@@ -147,6 +147,10 @@ class TestDilationIdentity:
                 lhs, rhs = dilation_identity_sides(X, q)
                 assert lhs == rhs
 
+    def test_rejects_q_below_one(self):
+        with pytest.raises(ValueError):
+            dilation_identity_sides(WORKED, 0)
+
 
 class TestAgainstSublistEnumeration:
     """The lattice DP against the per-sublist determinantal-divisor reference."""

@@ -4,7 +4,7 @@ These are the direct enumerations of the defining sums over sublists.
 Rank and multiplicity of each sublist come from its minors: r(A) is the
 largest k with a nonzero k x k minor, and m(A) is the gcd of the r x r
 minors.  No Hermite normal form is built, so the references are
-independent of the lattice DPs in tutte_core and of the k-vector DP in
+independent of the lattice DP in tutte_core and of the k-vector DP in
 ehrhart that the property tests compare them with.
 """
 
