@@ -22,7 +22,6 @@ from .errors import (
 from .exact_linalg import (
     IntMatrix,
     VectorList,
-    determinant,
     multiplicity,
     rank,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "ZonotutteError",
     "classical_tutte",
     "closed_open_counts",
-    "determinant",
     "dilate_list",
     "dilation_identity_sides",
     "ehrhart_summary",

@@ -10,8 +10,8 @@ the independent sublists A of size k.  Two routes produce it:
     verify, which build M_X anyway);
   * ehrhart_via_independent_sets groups the independent sublists by
     their k-vector a_1 ^ ... ^ a_k, whose coordinates are the k x k
-    minors, so m(A) is their gcd.  It builds no Hermite form and takes
-    no determinant, so it shares no arithmetic with the theorem route:
+    minors, so m(A) is their gcd.  It builds no Hermite form and runs
+    no elimination, so it shares no arithmetic with the theorem route:
     it is verify's second route, and ehrhart_summary reads E off it for
     the ehrhart, count, volume and interior commands, which need no more
     of M_X.  Only the input check is common to both routes.

@@ -7,23 +7,19 @@ integer span of A inside the sublattice of Z^n contained in the real span
 of A.  It equals the gcd of the r x r minors of the matrix whose columns
 are A, with r the rank of A.
 
-Two exact algorithms serve every caller:
-
-  * Hermite normal form.  A lattice is represented by its canonical row
-    Hermite normal form (hnf_insert, span), so two lists span the same
-    lattice exactly when their keys are equal; rank is the number of rows
-    of that key and lattice_multiplicity reads m(A) off it.
-  * Minors (Bareiss determinants).  minor_gcd is the gcd of all k x k
-    minors, 0 exactly when the rank is below k; lattice_multiplicity uses
-    it below full rank.  The independent-set Ehrhart sum (ehrhart
-    module) uses none of this.
+One exact algorithm serves every caller: the Hermite normal form.  A
+lattice is represented by its canonical row Hermite normal form
+(hnf_insert, span), so two lists span the same lattice exactly when their
+keys are equal; rank is the number of rows of that key, and
+lattice_multiplicity reads m(A) off it by unimodular column steps.  No
+minor is computed here: the geometric oracle computes its own minors,
+and the independent-set Ehrhart sum (ehrhart module) uses none of this.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DimensionDeficient
@@ -55,15 +51,6 @@ class IntMatrix:
             _check_int(e)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        data = [tuple(r) for r in rows]
-        width = len(data[0]) if data else 0
-        if any(len(r) != width for r in data):
-            raise ValueError("rows have inconsistent lengths")
-        flat = tuple(e for r in data for e in r)
-        return cls(len(data), width, flat)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], dim: int) -> "IntMatrix":
         """Matrix whose j-th column is columns[j]; dim rows even when empty."""
         cols = [tuple(c) for c in columns]
@@ -71,12 +58,6 @@ class IntMatrix:
             raise ValueError("column length does not match ambient dimension")
         flat = tuple(cols[j][i] for i in range(dim) for j in range(len(cols)))
         return cls(dim, len(cols), flat)
-
-    def to_rows(self) -> list[list[int]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
 
 
 @dataclass(frozen=True)
@@ -109,52 +90,6 @@ class VectorList:
         return VectorList(self.dim, [self.vectors[i] for i in indices])
 
 
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    if A.rows != A.cols:
-        raise ValueError("determinant requires a square matrix")
-    return _bareiss(A.to_rows())
-
-
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of the square matrix m (list of rows, modified in place)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact division: Bareiss guarantees prev divides this
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def minor_gcd(vectors: Sequence[Sequence[int]], dim: int, k: int) -> int:
-    """gcd of the absolute k x k minors of the dim-row matrix whose columns
-    are vectors.
-
-    It is 0 exactly when the vectors have rank < k, and at k = rank it is
-    their multiplicity.  k = 0 gives 1 (the empty minor).
-    """
-    g = 0
-    for cols in combinations(vectors, k):
-        for rows in combinations(range(dim), k):
-            g = math.gcd(g, _bareiss([[v[i] for v in cols] for i in rows]))
-            if g == 1:
-                return 1
-    return g
-
-
 Lattice = tuple[tuple[int, ...], ...]
 
 
@@ -162,15 +97,16 @@ def _leading(row: Sequence[int]) -> int:
     return next(j for j, x in enumerate(row) if x)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b > 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+def _step(a: Sequence[int], f: Sequence[int], i: int) -> tuple[list[int], list[int]]:
+    """The unimodular step (s*a + t*f, a[i]/g*f - f[i]/g*a) on two rows or
+    columns with a[i] > 0 and f[i] != 0, where g = gcd(a[i], f[i]) =
+    s*a[i] + t*f[i]: the results hold g and 0 at i and span what a and f
+    span.  The longer of a and f is cut to the length of the other."""
+    g = math.gcd(a[i], f[i])
+    ag, bg = a[i] // g, f[i] // g
+    s = pow(ag, -1, abs(bg))
+    t = (1 - s * ag) // bg
+    return [s * x + t * y for x, y in zip(a, f)], [ag * y - bg * x for x, y in zip(a, f)]
 
 
 def hnf_insert(basis: Lattice, v: Sequence[int]) -> Lattice:
@@ -202,14 +138,9 @@ def hnf_insert(basis: Lattice, v: Sequence[int]) -> Lattice:
         a = rows[k]
         q = v[col] // a[col]
         v = [x - q * y for x, y in zip(v, a)]
-        b = v[col]
-        if b:
-            # 0 < b < a[col]: replace (a, v) by the unimodular combination
-            # (s*a + t*v, a/g*v - b/g*a), whose pivots are g = gcd and 0
-            g, s, t = _xgcd(a[col], b)
-            ag, bg = a[col] // g, b // g
-            rows[k] = [s * x + t * y for x, y in zip(a, v)]
-            v = [ag * y - bg * x for x, y in zip(a, v)]
+        if v[col]:
+            # 0 < v[col] < a[col]: the step leaves the gcd as the pivot
+            rows[k], v = _step(a, v, col)
             changed = True
         k += 1
     if not changed:
@@ -226,14 +157,33 @@ def hnf_insert(basis: Lattice, v: Sequence[int]) -> Lattice:
 def lattice_multiplicity(basis: Lattice) -> int:
     """Multiplicity of the lattice with canonical basis (see hnf_insert).
 
-    The index of the lattice in the integer points of its real span: the
-    gcd of the r x r minors of the r x n basis, which at rank n is the
-    product of the pivots.  The zero lattice gives 1.
+    The index of the lattice in the integer points of its real span, which
+    is the index in Z^r of the lattice spanned by the n columns of the
+    r x n basis.  At rank n that is the product of the pivots.  Below it,
+    each row i, from the last up, has its pivot column a gather the row-i
+    entries of the column lattice: every non-pivot column f with f[i] != 0
+    is folded into a by one unimodular step (_step), after which a[i] is
+    their gcd and f[i] = 0.  The rows below i are already zero in every
+    column left, so the index is the product of the a[i]; at rank 1 it is
+    the gcd of the row.  The zero lattice gives 1.
     """
     r = len(basis)
-    if r and r == len(basis[0]):
+    if not r:
+        return 1
+    n = len(basis[0])
+    if r == n:
         return math.prod(basis[i][i] for i in range(r))
-    return minor_gcd(basis, len(basis[0]) if basis else 0, r)
+    pivots = [_leading(row) for row in basis]
+    free = [[row[j] for row in basis] for j in set(range(n)).difference(pivots)]
+    m = 1
+    for i in range(r - 1, -1, -1):
+        # the rows of a and of the folded columns below i are zero; drop them
+        a = [basis[k][pivots[i]] for k in range(i + 1)]
+        for k, f in enumerate(free):
+            if f[i]:
+                a, free[k] = _step(a, f, i)
+        m *= a[i]
+    return m
 
 
 def span(vectors: Iterable[Sequence[int]]) -> Lattice:

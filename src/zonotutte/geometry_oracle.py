@@ -5,7 +5,10 @@ q Z(X) = { sum_i t_i (q x_i) : 0 <= t_i <= 1 }.  This module reads its
 facets off the generators, one pair of opposite facets per hyperplane
 spanned by n - 1 of them (zonotope_hrep), then counts the lattice points
 of the coordinate bounding box that satisfy the inequalities (closed) or
-satisfy them strictly (interior).
+satisfy them strictly (interior).  The facet normals are signed
+(n - 1) x (n - 1) minors of the generators, which this module takes by
+its own Bareiss elimination (_bareiss); it shares no elimination with the
+lattice kernel of the polynomial side.
 
 Why strictness against possibly redundant inequalities classifies interiors
 correctly: the zonotope here is full-dimensional (rank X = n), so any valid
@@ -51,7 +54,7 @@ from typing import Sequence
 
 from . import exact_linalg
 from .errors import BoxTooLarge, UnboundedCone
-from .exact_linalg import VectorList, _bareiss
+from .exact_linalg import VectorList
 
 MAX_BOX_POINTS = 10_000_000
 MAX_BRUTE_FORCE_DIM = 4
@@ -73,13 +76,37 @@ class HRep:
     inequalities: tuple[tuple[tuple[int, ...], int], ...]
 
 
+def _bareiss(m: list[list[int]]) -> int:
+    """det(m) of the square matrix m (list of rows, modified in place), by
+    fraction-free Bareiss elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact division: Bareiss guarantees prev divides this
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def _normals(vectors: Sequence[Sequence[int]], n: int) -> set[tuple[int, ...]]:
     """Primitive normals of the hyperplanes of Z^n spanned by n - 1 of the
     vectors, each with the sign its subset gives.
 
     Each (n - 1)-subset's normal c is its vector of signed
-    (n - 1) x (n - 1) minors, so c . v is the determinant of v followed by
-    the subset; subsets of rank < n - 1 give c = 0 and are skipped.  n = 1
+    (n - 1) x (n - 1) minors, so c . v is the n x n minor det(v, subset);
+    subsets of rank < n - 1 give c = 0 and are skipped.  n = 1
     takes the empty subset, whose empty minor 1 gives the normal (1,); n = 0
     takes it too and gets no normal.
     """

@@ -7,8 +7,8 @@ over all 2^|X| sublists A of
 
 where r(A) is the rank of A and m(A) its lattice-index multiplicity.  The
 classical (unweighted) variant replaces every m(A) by 1.  Both reduce to
-the same polynomial when X is unimodular, i.e. when every basis extracted
-from X has determinant +-1.
+the same polynomial when X is unimodular, i.e. when every n x n minor of
+X is 0 or +-1.
 
 A term depends on A only through |A| and the lattice A spans, which fixes
 r(A) and m(A).  So the sum is taken without visiting sublists: one pass

@@ -27,9 +27,9 @@ from zonotutte import (
     rank,
     scalar_corollaries,
 )
-from zonotutte.exact_linalg import minor_gcd
 from zonotutte.polynomials import BiPoly
 from conftest import random_unimodular_list
+from tutte_reference import minor_gcd
 
 WORKED = VectorList(2, [(3, 0), (0, 2), (1, 1)])
 

@@ -253,25 +253,55 @@ class TestVerifyFailurePath:
         )
 
     def test_a_faulty_minor_gcd_fails_verify(self, capsys, monkeypatch):
-        # the theorem route reads m(L) below full rank off minor_gcd; the
-        # independent-set route never calls it, so a fault there must show
-        import zonotutte.exact_linalg as exact_linalg
+        # the theorem route reads m(L), the gcd of L's minors, off the
+        # lattice kernel; the independent-set route never calls it, so a
+        # wrong m at rank 1 must show
+        import zonotutte.tutte_core as tutte_core
 
-        real = exact_linalg.minor_gcd
+        real = tutte_core.lattice_multiplicity
 
-        def doubled(vectors, dim, k):
-            g = real(vectors, dim, k)
-            return 2 * g if k == 1 else g
+        def doubled(basis):
+            m = real(basis)
+            return 2 * m if len(basis) == 1 else m
 
-        # the fault reaches every module that imported the function
-        for name, module in list(sys.modules.items()):
-            if name.startswith("zonotutte") and getattr(module, "minor_gcd", None) is real:
-                monkeypatch.setattr(module, "minor_gcd", doubled)
+        monkeypatch.setattr(tutte_core, "lattice_multiplicity", doubled)
         code, out, _ = run_cli(capsys, "verify", "--vectors", "3,0;0,2;1,1")
         assert code == 1
         failing = [c for c in json.loads(out)["checks"] if not c["pass"]]
         assert failing[0]["identity"] == "ehrhart_theorem_equals_independent_sets"
         assert failing[0]["rhs"] == "11q^2 + 6q + 1"
+
+    def test_only_the_oracle_takes_bareiss_determinants(self, capsys, monkeypatch):
+        # the polynomial side shares no elimination with the oracle: with
+        # every Bareiss determinant in the package failing, the commands
+        # that do not run the oracle still print the same reports
+        argvs = [
+            ("tutte", "--vectors", "3,0;0,2;1,1"),
+            ("ehrhart", "--vectors", "3,0;0,2;1,1"),
+            ("verify", "--vectors", "3,0;0,2;1,1"),
+        ]
+        expected = []
+        for argv in argvs:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            expected.append(out)
+
+        class BareissCalled(Exception):
+            pass
+
+        def refuse(m):
+            raise BareissCalled
+
+        patched = 0
+        for name, module in list(sys.modules.items()):
+            if name.startswith("zonotutte") and hasattr(module, "_bareiss"):
+                monkeypatch.setattr(module, "_bareiss", refuse)
+                patched += 1
+        assert patched
+        for argv, out in zip(argvs, expected):
+            assert run_cli(capsys, *argv) == (0, out, "")
+        with pytest.raises(BareissCalled):
+            main(["verify", "--oracle", "--vectors", "3,0;0,2;1,1"])
 
     def test_second_readings_catch_a_wrong_monomial_form(self, capsys, monkeypatch):
         # E is read off the shifted coefficients; a fault in the monomial

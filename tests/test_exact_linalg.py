@@ -3,19 +3,9 @@ import random
 
 import pytest
 
-from zonotutte import (
-    IntMatrix,
-    VectorList,
-    determinant,
-    multiplicity,
-    rank,
-)
-from zonotutte.exact_linalg import lattice_multiplicity, minor_gcd, span
-from tutte_reference import rank_and_multiplicity
-
-
-def columns(vectors, dim):
-    return IntMatrix.from_columns(vectors, dim)
+from zonotutte import VectorList, multiplicity, rank
+from zonotutte.exact_linalg import _step, lattice_multiplicity, span
+from tutte_reference import minor_gcd, rank_and_multiplicity
 
 
 def sympy_matrix(sympy, vectors, dim):
@@ -32,11 +22,11 @@ def random_generators(rng, n, bound):
 
 
 def corpus(seed, count=60):
-    """(rng, n, vectors) with n in 1..4, up to n + 2 vectors, entry bounds
+    """(rng, n, vectors) with n in 1..7, up to n + 2 vectors, entry bounds
     cycling through BOUNDS."""
     rng = random.Random(seed)
     for t in range(count):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 7)
         yield rng, n, random_generators(rng, n, BOUNDS[t % len(BOUNDS)])
 
 
@@ -172,35 +162,6 @@ class TestGcdMaximalMinors:
                     assert minor_gcd(A.vectors, n, n) == multiplicity(A)
 
 
-class TestDeterminant:
-    def test_known_minors(self):
-        assert determinant(columns([(3, 0), (0, 2)], 2)) == 6
-        assert determinant(columns([(3, 0), (1, 1)], 2)) == 3
-        assert determinant(columns([(0, 2), (1, 1)], 2)) == -2
-
-    def test_matches_cofactor_expansion(self):
-        rng = random.Random(3)
-
-        def cofactor_det(m):
-            if len(m) == 1:
-                return m[0][0]
-            total = 0
-            for j in range(len(m)):
-                minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-                total += (-1) ** j * m[0][j] * cofactor_det(minor)
-            return total
-
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            assert determinant(IntMatrix.from_rows(rows)) == cofactor_det(rows)
-
-    def test_big_entries_stay_exact(self):
-        big = 10**30
-        m = IntMatrix.from_rows([[big, 1], [1, big]])
-        assert determinant(m) == big * big - 1
-
-
 def change_generators(rng, vectors):
     """Generators of the same lattice: elementary unimodular operations on
     the list (add an integer multiple of one vector to another, negate,
@@ -266,6 +227,29 @@ class TestHermiteKernel:
         for _, n, vecs in corpus(53):
             if minor_gcd(vecs, n, n):
                 assert lattice_multiplicity(span(vecs)) == minor_gcd(vecs, n, n)
+
+    def test_multiplicity_below_full_rank(self):
+        # rank 1 is the gcd of the row; below that, the column steps fold
+        # non-pivot columns, of either sign, into the pivot columns
+        assert lattice_multiplicity(span([(2, 4, -6)])) == 2
+        assert lattice_multiplicity(span([(2, 0, 0), (0, 3, 0)])) == 6
+        assert lattice_multiplicity(span([(1, 1, 0), (1, -1, 0)])) == 2
+        assert lattice_multiplicity(span([(2, 0, 1), (0, 2, 1)])) == 2
+        assert lattice_multiplicity(span([(2, 0, -3), (0, 3, -5)])) == 1
+        assert lattice_multiplicity(span([(2, 0, -3, 0), (0, 2, -3, 4)])) == 2
+
+    def test_unimodular_step(self):
+        # on pairs (a, x), (b, y) the step leaves gcd(a, b) and 0 in front
+        # and keeps the determinant, so it spans the same lattice
+        rng = random.Random(59)
+        pairs = [(1, 1), (4, 2), (2, 4), (6, -9), (3, -3), (10**20, -(10**20) - 1)]
+        for k in (1, 3, 20):
+            pairs += [(rng.randint(1, 10**k), rng.randint(-(10**k), 10**k) or 1) for _ in range(20)]
+        for a, b in pairs:
+            x, y = rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6)
+            (g, u), (zero, w) = _step([a, x], [b, y], 0)
+            assert (g, zero) == (math.gcd(a, b), 0)
+            assert g * w - zero * u == a * y - b * x
 
     def test_zero_lattice(self):
         assert span([]) == span([(0, 0, 0)]) == ()

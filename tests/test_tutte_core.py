@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,22 @@ class TestMultiplicityTutte:
         # multiplicities: singletons 2,2,1; pairs 4,2,2; triple gcd(4,2,2)=2
         M = multiplicity_tutte(VectorList(2, [(2, 0), (0, 2), (1, 1)]))
         assert M.polynomial == BiPoly({(2, 0): 1, (1, 0): 3, (0, 1): 2, (0, 0): 2})
+
+    def test_circuit_and_scaled_basis_in_high_dimension(self):
+        # I_11 plus (1, ..., 1) is the circuit U_{11,12}: unimodular, with
+        # Tutte polynomial x^11 + ... + x + y.  Its lattices below full rank
+        # are many, so this times the kernel's m(L) off a wide Hermite basis
+        n = 11
+        identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        M = multiplicity_tutte(VectorList(n, identity + [(1,) * n]))
+        assert M.polynomial == BiPoly({**{(k, 0): 1 for k in range(1, n + 1)}, (0, 1): 1})
+        assert M.is_unimodular
+        # 2 I_10: ten coloops of multiplicity 2, so M = (x - 1 + 2)^10
+        n = 10
+        doubled = [tuple(2 * int(i == j) for j in range(n)) for i in range(n)]
+        M = multiplicity_tutte(VectorList(n, doubled))
+        assert M.polynomial == BiPoly({(k, 0): comb(n, k) for k in range(n + 1)})
+        assert not M.is_unimodular
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(DimensionDeficient):

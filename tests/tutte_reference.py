@@ -3,15 +3,35 @@
 These are the direct enumerations of the defining sums over sublists.
 Rank and multiplicity of each sublist come from its minors: r(A) is the
 largest k with a nonzero k x k minor, and m(A) is the gcd of the r x r
-minors.  No Hermite normal form is built, so the references are
-independent of the lattice DP in tutte_core and of the k-vector DP in
-ehrhart that the property tests compare them with.
+minors (minor_gcd, the reference for the lattice kernel's m).  Each minor
+is a Bareiss elimination, the geometric oracle's own; no Hermite normal
+form is built, so the references are independent of the lattice DP in
+tutte_core, of lattice_multiplicity, and of the k-vector DP in ehrhart
+that the property tests compare them with.
 """
 
+import math
 from itertools import combinations
 
 from zonotutte import UniPoly
-from zonotutte.exact_linalg import VectorList, minor_gcd
+from zonotutte.exact_linalg import VectorList
+from zonotutte.geometry_oracle import _bareiss
+
+
+def minor_gcd(vectors, dim, k):
+    """gcd of the absolute k x k minors of the dim-row matrix whose columns
+    are vectors.
+
+    It is 0 exactly when the vectors have rank < k, and at k = rank it is
+    their multiplicity.  k = 0 gives 1 (the empty minor).
+    """
+    g = 0
+    for cols in combinations(vectors, k):
+        for rows in combinations(range(dim), k):
+            g = math.gcd(g, _bareiss([[v[i] for v in cols] for i in rows]))
+            if g == 1:
+                return 1
+    return g
 
 
 def rank_and_multiplicity(vectors, dim):
