@@ -11,11 +11,8 @@ brute-force geometric oracle.
 __version__ = "0.1.0"
 
 from .errors import (
-    BoxTooLarge,
-    DegreeMismatch,
-    DegreeTooHigh,
+    CapExceeded,
     DimensionDeficient,
-    ListTooLarge,
     UnboundedCone,
     ZonotutteError,
 )
@@ -40,8 +37,6 @@ from .tutte_core import (
     multiplicity_tutte,
 )
 from .ehrhart import (
-    EhrhartResult,
-    ehrhart_summary,
     ehrhart_via_independent_sets,
     ehrhart_via_theorem,
     interior_polynomial,
@@ -57,14 +52,10 @@ from .geometry_oracle import (
 
 __all__ = [
     "BiPoly",
-    "BoxTooLarge",
-    "DegreeMismatch",
-    "DegreeTooHigh",
+    "CapExceeded",
     "DimensionDeficient",
-    "EhrhartResult",
     "HRep",
     "IntMatrix",
-    "ListTooLarge",
     "TutteResult",
     "UnboundedCone",
     "UniPoly",
@@ -74,7 +65,6 @@ __all__ = [
     "closed_open_counts",
     "dilate_list",
     "dilation_identity_sides",
-    "ehrhart_summary",
     "ehrhart_via_independent_sets",
     "ehrhart_via_theorem",
     "expand_shifted_basis",

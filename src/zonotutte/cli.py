@@ -20,8 +20,12 @@ exempt from that guarantee.
 
 Exit codes: 0 success (and, for verify, every identity passed); 1 an
 identity failed in verify; 2 malformed input; 3 input does not span its
-ambient space; 4 an enumeration cap was exceeded; 5 invalid dilation
-factor (q < 1).
+ambient space (DimensionDeficient); 4 an enumeration cap was exceeded
+(CapExceeded); 5 invalid dilation factor (q < 1).
+
+ehrhart, count, volume and interior read E off the k-vector sum
+(ehrhart_via_independent_sets) and never build M_X; tutte and verify build
+it, and verify also takes E the second way.
 """
 
 from __future__ import annotations
@@ -34,17 +38,12 @@ import time
 
 from . import __version__
 from .ehrhart import (
-    ehrhart_summary,
     ehrhart_via_independent_sets,
     ehrhart_via_theorem,
     interior_polynomial,
     scalar_corollaries,
 )
-from .errors import (
-    BoxTooLarge,
-    DimensionDeficient,
-    ListTooLarge,
-)
+from .errors import CapExceeded, DimensionDeficient
 from .exact_linalg import VectorList
 from .geometry_oracle import MAX_BOX_POINTS, closed_open_counts
 from .polynomials import (
@@ -167,31 +166,30 @@ def _cmd_tutte(X: VectorList, args) -> dict:
 
 
 def _cmd_ehrhart(X: VectorList, args) -> dict:
-    summary = ehrhart_summary(X, max_list_size=args.max_subsets)
+    E = ehrhart_via_independent_sets(X, max_list_size=args.max_subsets)
     return {
         "command": "ehrhart",
         "input": _input_echo(X),
         "results": {
-            "ehrhart": poly_to_json(summary.ehrhart, ("q",)),
-            "interior": poly_to_json(summary.interior, ("q",)),
-            "volume": str(summary.volume),
+            "ehrhart": poly_to_json(E, ("q",)),
+            "interior": poly_to_json(interior_polynomial(E), ("q",)),
+            "volume": str(E.coefficient(X.dim)),
         },
     }
 
 
-def _scalar_report(X: VectorList, args, command: str) -> dict:
-    summary = ehrhart_summary(X, max_list_size=args.max_subsets)
+def _cmd_scalar(X: VectorList, args) -> dict:
+    command = args.command
+    E = ehrhart_via_independent_sets(X, max_list_size=args.max_subsets)
     if command == "volume":
-        value = summary.volume
+        value = E.coefficient(X.dim)
         method = "M_X(1,1), the leading Ehrhart coefficient"
+    elif command == "count":
+        value = E.evaluate(args.q)
+        method = "q^n M_X(1+1/q, 1); at q=1 this is M_X(2,1)"
     else:
-        q = args.q
-        poly = summary.ehrhart if command == "count" else summary.interior
-        value = poly.evaluate(q)
-        if command == "count":
-            method = "q^n M_X(1+1/q, 1); at q=1 this is M_X(2,1)"
-        else:
-            method = "q^n M_X(1-1/q, 1); at q=1 this is M_X(0,1)"
+        value = interior_polynomial(E).evaluate(args.q)
+        method = "q^n M_X(1-1/q, 1); at q=1 this is M_X(0,1)"
     results: dict = {"value": str(value), "via": method}
     if command != "volume":
         results["q"] = args.q
@@ -215,7 +213,7 @@ def _cmd_verify(X: VectorList, args) -> dict:
     n = M.ambient_dim
     E_theorem = ehrhart_via_theorem(M)
     E_direct = ehrhart_via_independent_sets(X, max_list_size=args.max_subsets)
-    I_poly = interior_polynomial(E_theorem, n)
+    I_poly = interior_polynomial(E_theorem)
 
     checks: list[dict] = []
 
@@ -237,15 +235,15 @@ def _cmd_verify(X: VectorList, args) -> dict:
 
     # E and I are read off M's shifted coefficients; the checks below read
     # them again from the monomial form M.polynomial, as M(t+1, 1) and
-    # M(1, 1).  The alternating-sign reversal of M(t+1, 1) must reproduce
+    # M(1, 1).  M(t+1, 1) has degree n, its top coefficient c_n,0 = 1 from
+    # the empty sublist, and its alternating-sign reversal must reproduce
     # (-1)^n E(-q)
     shifted_y1 = M.polynomial.specialize_y(1).taylor_shift(1)
     alternating = UniPoly(
         [(-1) ** k * c for k, c in enumerate(shifted_y1.coefficients)]
     )
-    spec_interior = reverse_coefficients(alternating, n)
-    record("interior_specialization", I_poly, spec_interior)
-    record("coefficient_reversal", reverse_coefficients(E_theorem, n), shifted_y1)
+    record("interior_specialization", I_poly, reverse_coefficients(alternating))
+    record("coefficient_reversal", reverse_coefficients(E_theorem), shifted_y1)
 
     points, volume, interior_points = scalar_corollaries(M)
     record("volume_identity", E_theorem.coefficient(n), volume)
@@ -370,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p, with_q=(name != "volume"))
-        p.set_defaults(handler=lambda X, args, _name=name: _scalar_report(X, args, _name))
+        p.set_defaults(handler=_cmd_scalar)
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     _add_common(p_verify)
@@ -456,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
         except DimensionDeficient as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DIMENSION
-        except (ListTooLarge, BoxTooLarge) as exc:
+        except CapExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAP
         if args.timing:

@@ -12,36 +12,26 @@ the independent sublists A of size k.  Two routes produce it:
     their k-vector a_1 ^ ... ^ a_k, whose coordinates are the k x k
     minors, so m(A) is their gcd.  It builds no Hermite form and runs
     no elimination, so it shares no arithmetic with the theorem route:
-    it is verify's second route, and ehrhart_summary reads E off it for
-    the ehrhart, count, volume and interior commands, which need no more
-    of M_X.  Only the input check is common to both routes.
+    it is verify's second route, and the ehrhart, count, volume and
+    interior commands, which need no more of M_X, read E off it.  Only
+    the input check is common to both routes.
 
-The interior counting polynomial is I(q) = (-1)^n E(-q) (reciprocity),
-which as a specialization reads q^n M(1 - 1/q, 1), so its coefficient of
-q^k is (-1)^(n+k) c_(n-k),0.  Closed count, volume and interior count of
-the unscaled zonotope are M(2,1), M(1,1), M(0,1).
+E has degree n: its coefficient of q^n is c_0,0, the volume, at least 1
+for a spanning list.  The interior counting polynomial is
+I(q) = (-1)^n E(-q) (reciprocity), with n the degree of E.  As a
+specialization it reads q^n M(1 - 1/q, 1), so its coefficient of q^k is
+(-1)^(n+k) c_(n-k),0.  Closed count, volume and interior count of the
+unscaled zonotope are M(2,1), M(1,1), M(0,1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .errors import DegreeMismatch
 from .exact_linalg import VectorList
 from .polynomials import UniPoly
 from .tutte_core import MAX_LIST_SIZE, TutteResult, check_input
-
-
-@dataclass(frozen=True)
-class EhrhartResult:
-    """Counting polynomials and volume of a zonotope."""
-
-    ehrhart: UniPoly
-    interior: UniPoly
-    volume: int
-    ambient_dim: int
 
 
 def ehrhart_via_theorem(M: TutteResult) -> UniPoly:
@@ -93,10 +83,9 @@ def ehrhart_via_independent_sets(
     return UniPoly([sum(c * gcd(*w) for w, c in level.items()) for level in counts])
 
 
-def interior_polynomial(E: UniPoly, n: int) -> UniPoly:
-    """Interior counting polynomial (-1)^n E(-q) for a degree-n Ehrhart E."""
-    if E.degree != n:
-        raise DegreeMismatch(f"expected degree {n}, got {E.degree}")
+def interior_polynomial(E: UniPoly) -> UniPoly:
+    """Interior counting polynomial (-1)^n E(-q) for an Ehrhart E of degree n."""
+    n = E.degree
     return UniPoly([(-1) ** (n + k) * c for k, c in enumerate(E.coefficients)])
 
 
@@ -113,18 +102,3 @@ def scalar_corollaries(M: TutteResult) -> tuple[int, int, int]:
         values.append(v)
     return values[0], values[1], values[2]
 
-
-def ehrhart_summary(X: VectorList, *, max_list_size: int = MAX_LIST_SIZE) -> EhrhartResult:
-    """Ehrhart polynomial, interior polynomial and volume of Z(X).
-
-    E is summed over the independent sublists alone, by their k-vectors
-    (ehrhart_via_independent_sets), without building the rest of M_X.
-    """
-    n = X.dim
-    ehrhart = ehrhart_via_independent_sets(X, max_list_size=max_list_size)
-    return EhrhartResult(
-        ehrhart=ehrhart,
-        interior=interior_polynomial(ehrhart, n),
-        volume=ehrhart.coefficient(n),
-        ambient_dim=n,
-    )

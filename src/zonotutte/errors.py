@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all zonotutte modules."""
+"""Exception hierarchy shared by all zonotutte modules.
+
+The CLI maps each class but UnboundedCone, which only the library raises,
+to one exit code: DimensionDeficient to 3, CapExceeded to 4.
+"""
 
 
 class ZonotutteError(Exception):
@@ -9,22 +13,11 @@ class DimensionDeficient(ZonotutteError):
     """The input list does not span its ambient space."""
 
 
-class ListTooLarge(ZonotutteError):
-    """The list is longer than the configured list-length cap."""
-
-
-class DegreeTooHigh(ZonotutteError):
-    """A polynomial exceeds the degree bound of a coefficient reversal."""
-
-
-class DegreeMismatch(ZonotutteError):
-    """A univariate polynomial does not have the expected degree."""
-
-
-class BoxTooLarge(ZonotutteError):
-    """An oracle count would exceed the configured cap on its work (lines of
-    the bounding box times facets of the zonotope), or the dimension is
-    above the largest the oracle counts in."""
+class CapExceeded(ZonotutteError):
+    """The list is longer than the list-length cap, an oracle count would
+    exceed the cap on its work (lines of the bounding box times facets of
+    the zonotope), or the dimension is above the largest the oracle counts
+    in."""
 
 
 class UnboundedCone(ZonotutteError):

@@ -53,7 +53,7 @@ from operator import floordiv, sub
 from typing import Sequence
 
 from . import exact_linalg
-from .errors import BoxTooLarge, UnboundedCone
+from .errors import CapExceeded, UnboundedCone
 from .exact_linalg import VectorList
 
 MAX_BOX_POINTS = 10_000_000
@@ -234,7 +234,7 @@ def closed_open_counts(
         raise ValueError(f"dilation factor must be >= 1, got {q}")
     exact_linalg.check_full_rank(X)
     if X.dim > MAX_BRUTE_FORCE_DIM:
-        raise BoxTooLarge(
+        raise CapExceeded(
             f"brute-force counting supports dimension <= {MAX_BRUTE_FORCE_DIM}, got {X.dim}"
         )
     if not X.dim:
@@ -245,7 +245,7 @@ def closed_open_counts(
     lines = math.prod(sides) // max(sides)
     work = lines * len(H.inequalities)
     if work > max_box:
-        raise BoxTooLarge(
+        raise CapExceeded(
             f"bounding box has {lines} lines and the zonotope {len(H.inequalities)} "
             f"facets, {work} line-facet pairs; cap is {max_box}"
         )

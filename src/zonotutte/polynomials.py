@@ -23,7 +23,6 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Mapping
 
-from .errors import DegreeTooHigh
 from .exact_linalg import _check_int
 
 
@@ -151,11 +150,9 @@ def expand_shifted_basis(terms: Mapping[tuple[int, int], int]) -> BiPoly:
     return BiPoly(acc)
 
 
-def reverse_coefficients(P: UniPoly, n: int) -> UniPoly:
-    """Coefficient reversal at length n+1: sum c_i t^i becomes sum c_i t^(n-i)."""
-    if P.degree > n:
-        raise DegreeTooHigh(f"degree {P.degree} exceeds reversal length {n}")
-    return UniPoly([P.coefficient(n - k) for k in range(n + 1)])
+def reverse_coefficients(P: UniPoly) -> UniPoly:
+    """Coefficient reversal at P's degree n: sum c_i t^i becomes sum c_i t^(n-i)."""
+    return UniPoly(reversed(P.coefficients))
 
 
 # ---------------------------------------------------------------------------

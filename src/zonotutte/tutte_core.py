@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ListTooLarge
+from .errors import CapExceeded
 from .exact_linalg import (
     Lattice,
     VectorList,
@@ -58,10 +58,10 @@ class TutteResult:
 
 
 def check_input(X: VectorList, max_list_size: int) -> None:
-    """Reject lists longer than max_list_size (ListTooLarge), then lists
+    """Reject lists longer than max_list_size (CapExceeded), then lists
     that do not span Z^n (DimensionDeficient)."""
     if len(X) > max_list_size:
-        raise ListTooLarge(
+        raise CapExceeded(
             f"list has {len(X)} vectors; enumeration cap is {max_list_size}"
         )
     check_full_rank(X)

@@ -62,7 +62,7 @@ def test_criterion_1_worked_fixture_exact():
     E = ehrhart_via_theorem(M)
     assert E == UniPoly([1, 6, 11])
     assert ehrhart_via_independent_sets(WORKED) == E
-    I = interior_polynomial(E, 2)
+    I = interior_polynomial(E)
     assert I == UniPoly([1, -6, 11])
     points, volume, interior_points = scalar_corollaries(M)
     assert (points, volume, interior_points) == (18, 11, 6)
@@ -98,7 +98,7 @@ def test_criterion_2_theorem_suite(acceptance_corpus):
 def test_criterion_3_reciprocity_suite(acceptance_corpus):
     for X in acceptance_corpus:
         E = ehrhart_via_theorem(multiplicity_tutte(X))
-        I = interior_polynomial(E, X.dim)
+        I = interior_polynomial(E)
         for q in (1, 2, 3):
             expected = I.evaluate(q)
             counted = closed_open_counts(X, q)[1]

@@ -150,6 +150,41 @@ class TestScalarCommands:
         assert report["results"]["interior"]["terms"][1] == {"i": 1, "c": "-6"}
         assert report["results"]["volume"] == "11"
 
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [(3, 0), (0, 2), (1, 1)],
+            [tuple(int(i == j) for i in range(5)) for j in range(5)] + [(1,) * 5],
+        ],
+        ids=["worked", "I_5 plus ones"],
+    )
+    def test_ehrhart_only_commands_print_the_theorem_route(self, capsys, vectors):
+        # E read off the whole M_X, and I = (-1)^n E(-q) written out here
+        from zonotutte import (
+            UniPoly,
+            VectorList,
+            ehrhart_via_theorem,
+            multiplicity_tutte,
+            poly_to_json,
+        )
+
+        n = len(vectors[0])
+        E = ehrhart_via_theorem(multiplicity_tutte(VectorList(n, vectors)))
+        I = UniPoly([(-1) ** (n + k) * c for k, c in enumerate(E.coefficients)])
+        spec = ";".join(",".join(map(str, v)) for v in vectors)
+
+        def results(*argv):
+            return run_json(capsys, *argv, "--vectors", spec)["results"]
+
+        assert results("ehrhart") == {
+            "ehrhart": poly_to_json(E, ("q",)),
+            "interior": poly_to_json(I, ("q",)),
+            "volume": str(E.coefficient(n)),
+        }
+        assert results("count", "--q", "3")["value"] == str(E.evaluate(3))
+        assert results("interior", "--q", "3")["value"] == str(I.evaluate(3))
+        assert results("volume")["value"] == str(E.coefficient(n))
+
 
 class TestVerifyCommand:
     def test_worked_example_with_oracle(self, capsys):

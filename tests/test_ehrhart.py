@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonotutte import (
-    DegreeMismatch,
     UniPoly,
     VectorList,
     closed_open_counts,
     dilate_list,
-    ehrhart_summary,
     ehrhart_via_independent_sets,
     ehrhart_via_theorem,
     interior_polynomial,
@@ -85,14 +83,12 @@ class TestEhrhartViaIndependentSets:
 
 class TestAgainstMinorsReference:
     """The two Ehrhart routes against the per-sublist minors enumeration:
-    the k-vector DP, also through ehrhart_summary (the CLI's entry), and E
-    read off the whole M_X."""
+    the k-vector DP and E read off the whole M_X."""
 
     @staticmethod
     def check(X):
         expected = ehrhart_reference(X)
         assert ehrhart_via_independent_sets(X) == expected
-        assert ehrhart_summary(X).ehrhart == expected
         assert ehrhart_via_theorem(multiplicity_tutte(X)) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -165,7 +161,6 @@ def test_known_answers(name):
     X, points, volume = KNOWN_ANSWERS[name]
     for E in (
         ehrhart_via_independent_sets(X),
-        ehrhart_summary(X).ehrhart,
         ehrhart_via_theorem(multiplicity_tutte(X)),
     ):
         assert (E.evaluate(1), E.coefficient(X.dim)) == (points, volume)
@@ -173,21 +168,17 @@ def test_known_answers(name):
 
 class TestInteriorPolynomial:
     def test_worked_example(self):
-        assert interior_polynomial(UniPoly([1, 6, 11]), 2) == UniPoly([1, -6, 11])
+        assert interior_polynomial(UniPoly([1, 6, 11])) == UniPoly([1, -6, 11])
 
     def test_unit_square(self):
-        assert interior_polynomial(UniPoly([1, 2, 1]), 2) == UniPoly([1, -2, 1])
+        assert interior_polynomial(UniPoly([1, 2, 1])) == UniPoly([1, -2, 1])
 
     def test_even_list(self):
-        assert interior_polynomial(UniPoly([1, 5, 8]), 2) == UniPoly([1, -5, 8])
+        assert interior_polynomial(UniPoly([1, 5, 8])) == UniPoly([1, -5, 8])
 
     def test_odd_dimension_sign(self):
         # segment [0, 2q] has 2q - 1 interior points
-        assert interior_polynomial(UniPoly([1, 2]), 1) == UniPoly([-1, 2])
-
-    def test_degree_mismatch(self):
-        with pytest.raises(DegreeMismatch):
-            interior_polynomial(UniPoly([1, 2]), 2)
+        assert interior_polynomial(UniPoly([1, 2])) == UniPoly([-1, 2])
 
 
 class TestScalarCorollaries:
@@ -204,13 +195,6 @@ class TestScalarCorollaries:
 
 
 class TestSummaryAndInvariants:
-    def test_summary_bundle(self):
-        summary = ehrhart_summary(WORKED)
-        assert summary.ehrhart == UniPoly([1, 6, 11])
-        assert summary.interior == UniPoly([1, -6, 11])
-        assert summary.volume == 11
-        assert summary.ambient_dim == 2
-
     def test_constant_term_and_volume(self, small_corpus):
         for X in small_corpus:
             M = multiplicity_tutte(X)
@@ -231,6 +215,6 @@ class TestSummaryAndInvariants:
         for X in small_corpus[:9]:
             M = multiplicity_tutte(X)
             E = ehrhart_via_theorem(M)
-            I = interior_polynomial(E, X.dim)
+            I = interior_polynomial(E)
             for q in (1, 2):
                 assert (E.evaluate(q), I.evaluate(q)) == closed_open_counts(X, q)

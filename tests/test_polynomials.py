@@ -6,7 +6,6 @@ import pytest
 
 from zonotutte import (
     BiPoly,
-    DegreeTooHigh,
     UniPoly,
     expand_shifted_basis,
     poly_to_json,
@@ -84,18 +83,10 @@ class TestEvalBi:
 
 class TestReverseCoefficients:
     def test_worked_example(self):
-        assert reverse_coefficients(UniPoly([1, 6, 11]), 2) == UniPoly([11, 6, 1])
+        assert reverse_coefficients(UniPoly([1, 6, 11])) == UniPoly([11, 6, 1])
 
     def test_constant(self):
-        assert reverse_coefficients(UniPoly([1]), 0) == UniPoly([1])
-
-    def test_with_padding(self):
-        # q + 2 reversed at length 3: coefficient list (2,1,0) -> (0,1,2)
-        assert reverse_coefficients(UniPoly([2, 1]), 2) == UniPoly([0, 1, 2])
-
-    def test_degree_too_high(self):
-        with pytest.raises(DegreeTooHigh):
-            reverse_coefficients(UniPoly([0, 0, 1]), 1)
+        assert reverse_coefficients(UniPoly([1])) == UniPoly([1])
 
     def test_involution_when_constant_term_nonzero(self):
         rng = random.Random(17)
@@ -104,8 +95,7 @@ class TestReverseCoefficients:
             coeffs[0] = coeffs[0] or 1
             coeffs[-1] = coeffs[-1] or 1
             P = UniPoly(coeffs)
-            n = P.degree
-            assert reverse_coefficients(reverse_coefficients(P, n), n) == P
+            assert reverse_coefficients(reverse_coefficients(P)) == P
 
 
 class TestEvalAndNegate:

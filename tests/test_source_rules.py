@@ -4,7 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "zonotutte").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zonotutte"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -37,3 +38,48 @@ def test_imports_are_standard_library_or_relative():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def _classes_defined(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def test_one_exception_class_per_exit_code():
+    # every class errors.py defines, but the base, is raised in the package;
+    # each except clause of cli.main that returns an EXIT_* code names one
+    # class and returns its own code, and every error class but the
+    # library-only UnboundedCone has such a clause.  The other clauses catch
+    # classes of cli's own
+    errors = _classes_defined("errors.py") - {"ZonotutteError"}
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert errors - raised == set()
+
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(
+        node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    pairs = []
+    for handler in ast.walk(main):
+        if not isinstance(handler, ast.ExceptHandler):
+            continue
+        codes = [
+            node.value.id
+            for node in ast.walk(handler)
+            if isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Name)
+            and node.value.id.startswith("EXIT_")
+        ]
+        if codes:
+            assert isinstance(handler.type, ast.Name), ast.unparse(handler.type)
+            pairs += [(handler.type.id, code) for code in codes]
+    caught = {name for name, _ in pairs}
+    assert len(pairs) == len(caught) == len({code for _, code in pairs})
+    assert set(caught) - errors <= _classes_defined("cli.py")
+    assert errors - caught == {"UnboundedCone"}

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from zonotutte import (
     BiPoly,
+    CapExceeded,
     DimensionDeficient,
-    ListTooLarge,
     VectorList,
     classical_tutte,
     dilate_list,
@@ -64,7 +64,7 @@ class TestMultiplicityTutte:
             multiplicity_tutte(VectorList(2, [(1, 0), (2, 0)]))
 
     def test_enumeration_cap(self):
-        with pytest.raises(ListTooLarge):
+        with pytest.raises(CapExceeded):
             multiplicity_tutte(WORKED, max_list_size=2)
 
     def test_permutation_invariance(self, small_corpus):
