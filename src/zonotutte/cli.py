@@ -45,7 +45,7 @@ from .ehrhart import (
 )
 from .errors import CapExceeded, DimensionDeficient
 from .exact_linalg import VectorList
-from .geometry_oracle import MAX_BOX_POINTS, closed_open_counts
+from .geometry_oracle import MAX_BOX_POINTS, closed_open_counts, zonotope_hrep
 from .polynomials import (
     BiPoly,
     UniPoly,
@@ -199,15 +199,16 @@ def _cmd_scalar(X: VectorList, args) -> dict:
 def _cmd_verify(X: VectorList, args) -> dict:
     q_list = args.q_values
     # the oracle counts first: its cap refuses after zonotope_hrep alone, at
-    # a fraction of the polynomial side's cost.  One count per distinct q
-    # gives both the closed and the open count; q = 1 also serves the
-    # corollaries
+    # a fraction of the polynomial side's cost.  The facets are enumerated
+    # once, at q = 1, and one count per distinct q gives both the closed and
+    # the open count; q = 1 also serves the corollaries
     counts: dict[int, tuple[int, int]] = {}
     if args.oracle:
         check_input(X, args.max_subsets)
+        facets = zonotope_hrep(X, 1)
         for q in [*q_list, 1]:
             if q not in counts:
-                counts[q] = closed_open_counts(X, q, max_box=args.max_box)
+                counts[q] = closed_open_counts(X, q, max_box=args.max_box, base=facets)
 
     M = multiplicity_tutte(X, max_list_size=args.max_subsets)
     n = M.ambient_dim
@@ -229,9 +230,11 @@ def _cmd_verify(X: VectorList, args) -> dict:
 
     record("ehrhart_theorem_equals_independent_sets", E_theorem, E_direct)
 
+    sides: dict[int, tuple[BiPoly, BiPoly]] = {}
     for q in q_list:
-        lhs, rhs = dilation_identity_sides(X, q, max_list_size=args.max_subsets, base=M)
-        record(f"dilation_identity_q{q}", lhs, rhs)
+        if q not in sides:
+            sides[q] = dilation_identity_sides(X, q, max_list_size=args.max_subsets, base=M)
+        record(f"dilation_identity_q{q}", *sides[q])
 
     # E and I are read off M's shifted coefficients; the checks below read
     # them again from the monomial form M.polynomial, as M(t+1, 1) and

@@ -17,13 +17,25 @@ point p has a ball around it inside the body, and c.p = d would place half
 of that ball outside the half-space.  Redundant valid inequalities can
 therefore never demote an interior point to the boundary.
 
-The count walks the lines of the bounding box along its longest axis, on
-exact Python integers: each row c.p <= d bounds a line's interval of
-integers by one floor division, or keeps or drops the whole line where c
-is 0 on that axis.  Interior points are bounded on the same line with
-every offset lowered by 1, since c.p < d is c.p <= d - 1 on integer
-points; a line with no closed point has no interior one, so that bound is
-taken only where the closed interval is nonempty.
+The count walks the lines of the bounding box along its longest axis t,
+on exact Python integers, one slab at a time: a slab is the plane of t
+and the last other coordinate b, at fixed values of the coordinates
+before b.  On a slab each row c.p <= d reads c_t t + c_b b <= s, with s
+the row's slack there.  A row with c_t > 0 (a cap) bounds t from above by
+(s - c_b b) / c_t, one with c_t < 0 (a floor) bounds it from below, and
+one with c_t = 0 (a flat) bounds b alone.  Each slab takes one pass over
+the rows.  The flats give its range of b.  The caps, sorted once per
+walk by c_b / c_t with integer cross-multiplication, go through one
+stack pass that keeps their lower envelope: the bounds lowest at some b,
+each with the stretch of b where it is lowest.  The floors get the same.
+Walking b upward, a pointer into each envelope gives the line's lowest
+cap and floor, so the line's closed interval of t costs one floor
+division per end, whatever the number of rows.  Interior points satisfy
+every row strictly, and c.p < d is c.p <= d - 1 on integer points: on a
+line, the open interval is the closed one less each end whose bound is
+an integer, and a line on which a flat is tight, a facet parallel to the
+axis, has none.  A flat is tight only at an end of the slab's range of b
+where it divides exactly, or on the whole slab when c_b = 0 and s = 0.
 
 Every zonotope is centrally symmetric (Shephard 1974): p -> q sum(X) - p
 maps q Z(X) onto itself, and swaps each facet row (c, d) with its opposite
@@ -35,7 +47,9 @@ holds as many closed and interior points.  The walk therefore visits only
 the lines whose coordinates off the axis are lexicographically at most
 their mirror's: a line strictly below its mirror counts twice, and a line
 equal to its mirror, which exists only where every lo_j + hi_j off the
-axis is even, counts once.
+axis is even, counts once.  A slab that is its own mirror is walked to
+the centre of its range of b.  A segment (n = 1) is one such slab, of a
+zero-width range of b.
 
 The same hyperplane normals decide whether some functional is strictly
 positive on a list (find_positive_functional): on the pivot coordinates of
@@ -48,8 +62,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import combinations
-from operator import floordiv, sub
+from operator import sub
 from typing import Sequence
 
 from . import exact_linalg
@@ -130,11 +145,17 @@ def zonotope_hrep(X: VectorList, q: int) -> HRep:
     two opposite facets (Shephard 1974, McMullen 1971).  _normals gives
     a primitive normal c of each such hyperplane; c and -c are both kept,
     and the facet on the side of c has offset q * sum_i max(0, c . x_i).
+    The oracle stops at dimension MAX_BRUTE_FORCE_DIM (CapExceeded), before
+    the C(|X|, n - 1) subsets are visited.
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
     n = X.dim
     exact_linalg.check_full_rank(X)
+    if n > MAX_BRUTE_FORCE_DIM:
+        raise CapExceeded(
+            f"brute-force counting supports dimension <= {MAX_BRUTE_FORCE_DIM}, got {n}"
+        )
 
     normals = _normals(X.vectors, n)
     normals |= {tuple(-x for x in c) for c in normals}
@@ -155,49 +176,152 @@ def _box_ranges(X: VectorList, q: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _envelope(
+    lines: Sequence[tuple[int, int]], slacks: Sequence[int], stop: int
+) -> list[tuple[int, int, int, int]]:
+    """Lower envelope over b of the bounds (s - c_b b) / a, a > 0, of one slab.
+
+    lines holds each bound's (c_b, a) in increasing order of c_b / a, so the
+    bounds come in decreasing order of slope, the order in which they are
+    lowest as b grows; slacks holds each bound's s.  One stack pass keeps
+    the lowest of each family of parallel bounds, and drops a bound that is
+    never strictly below both its neighbours: bound j, between i and k, is
+    lowest from its crossing with i to its crossing with k, and drops when
+    those do not come in that order.  Each kept bound is returned as
+    (s, c_b, a, until): it is lowest at the integers b below until, and the
+    last one up to stop.
+    """
+    hull: list[tuple[int, int, int]] = []
+    for (c, a), s in zip(lines, slacks):
+        if hull:
+            s_j, c_j, a_j = hull[-1]
+            if c_j * a == c * a_j:  # parallel: keep the lower
+                if s * a_j >= s_j * a:
+                    continue
+                hull.pop()
+        while len(hull) > 1:
+            (s_i, c_i, a_i), (s_j, c_j, a_j) = hull[-2], hull[-1]
+            # crossings of j with i and with the new bound, cross-multiplied
+            # by their positive denominators
+            if (s_j * a_i - s_i * a_j) * (c * a_j - c_j * a) < (s * a_j - s_j * a) * (
+                c_j * a_i - c_i * a_j
+            ):
+                break
+            hull.pop()
+        hull.append((s, c, a))
+    envelope = []
+    for (s_i, c_i, a_i), (s_j, c_j, a_j) in zip(hull, hull[1:]):
+        # the first integer b at or past the crossing, where j is as low as i
+        until = -((s_i * a_j - s_j * a_i) // (c_j * a_i - c_i * a_j))
+        envelope.append((s_i, c_i, a_i, until))
+    s_i, c_i, a_i = hull[-1]
+    envelope.append((s_i, c_i, a_i, stop + 1))
+    return envelope
+
+
 def _closed_open_walk(
     rows: Sequence[Row], ranges: Sequence[tuple[int, int]]
 ) -> tuple[int, int]:
     """Integer points p of the box with c . p <= d on every row (c, d), and
     those with c . p <= d - 1, from one walk over the lines up to their
-    mirrors (module docstring).  The rows must bound a body inside the box
-    that is centrally symmetric about the box's centre."""
+    mirrors, each line bounded by the facet envelopes of its slab (module
+    docstring).  The rows must bound a body inside the box that is
+    centrally symmetric about the box's centre."""
+    if len(ranges) == 1:  # a segment: one slab of zero width
+        rows = [(c + (0,), d) for c, d in rows]
+        ranges = [*ranges, (0, 0)]
     axis = max(range(len(ranges)), key=lambda j: ranges[j][1] - ranges[j][0])
-    others = [j for j in range(len(ranges)) if j != axis]
-    # on a line with slack s = d - (c.p without its axis term), a row caps the
-    # axis coordinate at s // c_axis if c_axis > 0, floors it at
-    # -(s // -c_axis) if c_axis < 0, and keeps or drops the line if c_axis = 0
-    caps = [(c, d) for c, d in rows if c[axis] > 0]
-    floors = [(c, d) for c, d in rows if c[axis] < 0]
+    *outer, b = (j for j in range(len(ranges)) if j != axis)
+    # on the line at b of a slab where a row has slack s = d - (c.p without
+    # its b and axis terms), the row bounds the axis coordinate t by
+    # t <= (s - c_b b) / c_t if c_t > 0, by -t <= (s - c_b b) / -c_t if
+    # c_t < 0, and bounds b alone if c_t = 0
+    def by_slope(sign: int) -> list[Row]:
+        # the rows with sign * c_t > 0, in increasing order of c_b / |c_t|,
+        # compared by cross-multiplying with |c_t| = sign * c_t
+        picked = [(c, d) for c, d in rows if sign * c[axis] > 0]
+        return sorted(
+            picked,
+            key=cmp_to_key(lambda x, y: sign * (x[0][b] * y[0][axis] - y[0][b] * x[0][axis])),
+        )
+
+    caps, floors = by_slope(1), by_slope(-1)
     rows = caps + floors + [(c, d) for c, d in rows if c[axis] == 0]
     u, v = len(caps), len(caps) + len(floors)
-    cap_div = [c[axis] for c, _ in caps]
-    floor_div = [-c[axis] for c, _ in floors]
+    cap_lines = [(c[b], c[axis]) for c, _ in caps]
+    floor_lines = [(c[b], -c[axis]) for c, _ in floors]
+    flat_b = [c[b] for c, _ in rows[v:]]
+    lo_b, hi_b = ranges[b]
 
-    def line(slacks: list[int]) -> tuple[int, int]:
-        flat = min(slacks[v:], default=1)
-        if flat < 0:
+    def slab(slacks: list[int], tied: bool) -> tuple[int, int]:
+        # the flats bound b to [start, stop]; a line lies on a facet
+        # parallel to the axis where a flat's slack is 0: at start or stop
+        # if that end is an exact quotient, or on the whole slab
+        start, stop = lo_b, hi_b
+        at_start = at_stop = whole = False
+        for c, s in zip(flat_b, slacks[v:]):
+            if c > 0:
+                top, rem = divmod(s, c)
+                if top <= stop:
+                    at_stop = rem == 0 or (top == stop and at_stop)
+                    stop = top
+            elif c < 0:
+                bottom, rem = divmod(s, -c)
+                if -bottom >= start:
+                    at_start = rem == 0 or (-bottom == start and at_start)
+                    start = -bottom
+            elif s <= 0:
+                if s < 0:
+                    return 0, 0
+                whole = True
+        stop_walk = min(stop, (lo_b + hi_b) // 2) if tied else stop
+        if start > stop_walk:
             return 0, 0
-        hi = min(map(floordiv, slacks[:u], cap_div))
-        lo = -min(map(floordiv, slacks[u:v], floor_div))
-        if hi < lo:
-            return 0, 0
-        if flat == 0:  # the line lies on a facet parallel to the axis
-            return hi - lo + 1, 0
-        # the interior interval: every slack lowered by 1
-        inner = [s - 1 for s in slacks[:v]]
-        inner_hi = min(map(floordiv, inner[:u], cap_div))
-        inner_lo = -min(map(floordiv, inner[u:], floor_div))
-        return hi - lo + 1, max(0, inner_hi - inner_lo + 1)
+        cap_env = _envelope(cap_lines, slacks[:u], stop_walk)
+        floor_env = _envelope(floor_lines, slacks[u:v], stop_walk)
+
+        def count(first: int, last: int) -> tuple[int, int]:
+            # the lines at b = y for y in first..last; on each, the lowest
+            # cap and floor give t's closed interval by one floor division
+            # each, and the open one drops each end whose bound is an integer
+            i = j = 0
+            cs, cc, ca, cap_until = cap_env[0]
+            fs, fc, fa, floor_until = floor_env[0]
+            closed = opened = 0
+            for y in range(first, last + 1):
+                while y >= cap_until:
+                    i += 1
+                    cs, cc, ca, cap_until = cap_env[i]
+                while y >= floor_until:
+                    j += 1
+                    fs, fc, fa, floor_until = floor_env[j]
+                hi, cap_rem = divmod(cs - cc * y, ca)
+                neg_lo, floor_rem = divmod(fs - fc * y, fa)
+                points = hi + neg_lo + 1
+                if points <= 0:
+                    continue
+                closed += points
+                if whole or (y == start and at_start) or (y == stop and at_stop):
+                    continue
+                opened += max(0, points - (cap_rem == 0) - (floor_rem == 0))
+            return closed, opened
+
+        if not tied:
+            return count(start, stop)
+        below = count(start, min(stop, (lo_b + hi_b - 1) // 2))
+        if (lo_b + hi_b) % 2:
+            return 2 * below[0], 2 * below[1]
+        centre = count(max(start, (lo_b + hi_b) // 2), stop_walk)
+        return 2 * below[0] + centre[0], 2 * below[1] + centre[1]
 
     def walk(depth: int, slacks: list[int], tied: bool) -> tuple[int, int]:
         # tied: the coordinates fixed so far are their own mirror's, so the
-        # walk stops at the centre, and lines strictly below it stand for
-        # their mirrors too
-        if depth == len(others):
-            return line(slacks)
-        lo_j, hi_j = ranges[others[depth]]
-        step = [c[others[depth]] for c, _ in rows]
+        # walk stops at the centre, and slabs and lines strictly below it
+        # stand for their mirrors too
+        if depth == len(outer):
+            return slab(slacks, tied)
+        lo_j, hi_j = ranges[outer[depth]]
+        step = [c[outer[depth]] for c, _ in rows]
         slacks = [s - c * lo_j for s, c in zip(slacks, step)]
         closed = opened = 0
         for _ in range(lo_j, (lo_j + hi_j + 1) // 2 if tied else hi_j + 1):
@@ -220,36 +344,39 @@ def closed_open_counts(
     q: int,
     *,
     max_box: int = MAX_BOX_POINTS,
+    base: HRep | None = None,
 ) -> tuple[int, int]:
     """Count lattice points of the dilated zonotope: (closed hull, interior).
 
     One walk gives both counts (module docstring): it visits only the
     lines of the bounding box up to their mirror images through the
-    centre, and on each line with a closed point it also bounds the
-    interior interval, with every offset lowered by 1.  The walk's work is
-    its lines times the facet rows; max_box caps the box's lines (its
-    points over its longest side) times the rows.
+    centre.  Each slab of lines takes one pass over the facet rows, which
+    builds the lower envelopes of the rows that cap and that floor the
+    walked axis; each line then reads its closed interval off the two
+    envelopes by one floor division per end, and its interior interval
+    drops each end whose bound is an integer.  max_box caps the box's
+    lines (its points over its longest side) times the facet rows, an
+    upper bound on the walk's work.  base, when given, must be
+    zonotope_hrep(X, 1): the facets of q Z(X) are its rows with every
+    offset times q, so several q share one facet enumeration.
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
-    exact_linalg.check_full_rank(X)
-    if X.dim > MAX_BRUTE_FORCE_DIM:
-        raise CapExceeded(
-            f"brute-force counting supports dimension <= {MAX_BRUTE_FORCE_DIM}, got {X.dim}"
-        )
+    if base is None:
+        base = zonotope_hrep(X, 1)
     if not X.dim:
         return 1, 1  # Z^0 is one point, its own relative interior
     ranges = _box_ranges(X, q)
-    H = zonotope_hrep(X, q)
+    rows = [(c, q * d) for c, d in base.inequalities]
     sides = [hi - lo + 1 for lo, hi in ranges]
     lines = math.prod(sides) // max(sides)
-    work = lines * len(H.inequalities)
+    work = lines * len(rows)
     if work > max_box:
         raise CapExceeded(
-            f"bounding box has {lines} lines and the zonotope {len(H.inequalities)} "
+            f"bounding box has {lines} lines and the zonotope {len(rows)} "
             f"facets, {work} line-facet pairs; cap is {max_box}"
         )
-    return _closed_open_walk(H.inequalities, ranges)
+    return _closed_open_walk(rows, ranges)
 
 
 def find_positive_functional(X: VectorList) -> tuple[int, ...] | None:

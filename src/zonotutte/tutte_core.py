@@ -135,17 +135,21 @@ def dilation_identity_sides(
 ) -> tuple[BiPoly, BiPoly]:
     """Both sides of the dilation identity, computed independently.
 
-    The left side is the weighted polynomial of qX from scratch.  The
-    right side is q^n M_X(1 + (x-1)/q, y), expanded from the monomial form
-    sum a_ab x^a y^b of M_X as sum a_ab q^(n-a) (x+q-1)^a y^b, so it does
-    not pass through the shifted-basis expansion that built the left side.
-    base, when given, must be multiplicity_tutte(X); it saves recomputing
-    the right side's source when several q are checked.
+    The left side is the weighted polynomial of qX from scratch; at q = 1
+    that is base itself, the same sum on the same list.  The right side is
+    q^n M_X(1 + (x-1)/q, y), expanded from the monomial form sum a_ab x^a
+    y^b of M_X as sum a_ab q^(n-a) (x+q-1)^a y^b, so it does not pass
+    through the shifted-basis expansion that built the left side.  base,
+    when given, must be multiplicity_tutte(X); it saves recomputing the
+    right side's source when several q are checked.
     """
     dilated = dilate_list(X, q)
     if base is None:
         base = multiplicity_tutte(X, max_list_size=max_list_size)
-    lhs = multiplicity_tutte(dilated, max_list_size=max_list_size).polynomial
+    if q == 1:
+        lhs = base.polynomial
+    else:
+        lhs = multiplicity_tutte(dilated, max_list_size=max_list_size).polynomial
     n = base.ambient_dim
     rhs: dict[tuple[int, int], int] = {}
     for (a, b), c in base.polynomial.sorted_terms():

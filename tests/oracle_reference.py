@@ -1,5 +1,6 @@
 """Test-only references for the oracle: Fourier-Motzkin facets, a
-point-by-point count and a Fourier-Motzkin positive-functional search.
+point-by-point count, a line walk that takes every facet row on every
+line, and a Fourier-Motzkin positive-functional search.
 
 reference_hrep projects the box { (t, p) : p = sum t_i (q x_i),
 0 <= t_i <= 1 } onto p by exact Fourier-Motzkin elimination of the t
@@ -13,6 +14,12 @@ line structure and no floor division is used, so it is independent of
 both halves of the oracle's count: the facets of zonotope_hrep and the
 line walk of closed_open_counts.
 
+reference_line_walk is the oracle's earlier line walk, kept as it was:
+it visits the same lines up to their mirrors as closed_open_counts, but
+bounds each line by one floor division per facet row instead of by the
+per-slab envelopes of the rows, so the two walks share only the mirror
+argument.
+
 reference_positive_functional decides the strict system c . a > 0 by the
 same elimination with back-substitution, sharing no minor formula with
 find_positive_functional.
@@ -22,6 +29,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from operator import floordiv, sub
 
 from zonotutte.exact_linalg import span
 from zonotutte.geometry_oracle import HRep, _box_ranges
@@ -193,6 +201,65 @@ def reference_counts(X, q):
         if cls is PointClass.INTERIOR:
             opened += 1
     return closed, opened
+
+
+def reference_line_walk(rows, ranges):
+    """Integer points p of the box with c . p <= d on every row (c, d), and
+    those with c . p <= d - 1, from one walk over the lines up to their
+    mirrors (geometry_oracle's module docstring).  The rows must bound a
+    body inside the box that is centrally symmetric about the box's
+    centre."""
+    axis = max(range(len(ranges)), key=lambda j: ranges[j][1] - ranges[j][0])
+    others = [j for j in range(len(ranges)) if j != axis]
+    # on a line with slack s = d - (c.p without its axis term), a row caps the
+    # axis coordinate at s // c_axis if c_axis > 0, floors it at
+    # -(s // -c_axis) if c_axis < 0, and keeps or drops the line if c_axis = 0
+    caps = [(c, d) for c, d in rows if c[axis] > 0]
+    floors = [(c, d) for c, d in rows if c[axis] < 0]
+    rows = caps + floors + [(c, d) for c, d in rows if c[axis] == 0]
+    u, v = len(caps), len(caps) + len(floors)
+    cap_div = [c[axis] for c, _ in caps]
+    floor_div = [-c[axis] for c, _ in floors]
+
+    def line(slacks):
+        flat = min(slacks[v:], default=1)
+        if flat < 0:
+            return 0, 0
+        hi = min(map(floordiv, slacks[:u], cap_div))
+        lo = -min(map(floordiv, slacks[u:v], floor_div))
+        if hi < lo:
+            return 0, 0
+        if flat == 0:  # the line lies on a facet parallel to the axis
+            return hi - lo + 1, 0
+        # the interior interval: every slack lowered by 1
+        inner = [s - 1 for s in slacks[:v]]
+        inner_hi = min(map(floordiv, inner[:u], cap_div))
+        inner_lo = -min(map(floordiv, inner[u:], floor_div))
+        return hi - lo + 1, max(0, inner_hi - inner_lo + 1)
+
+    def walk(depth, slacks, tied):
+        # tied: the coordinates fixed so far are their own mirror's, so the
+        # walk stops at the centre, and lines strictly below it stand for
+        # their mirrors too
+        if depth == len(others):
+            return line(slacks)
+        lo_j, hi_j = ranges[others[depth]]
+        step = [c[others[depth]] for c, _ in rows]
+        slacks = [s - c * lo_j for s, c in zip(slacks, step)]
+        closed = opened = 0
+        for _ in range(lo_j, (lo_j + hi_j + 1) // 2 if tied else hi_j + 1):
+            below = walk(depth + 1, slacks, False)
+            closed += below[0]
+            opened += below[1]
+            slacks = list(map(sub, slacks, step))
+        if not tied:
+            return closed, opened
+        if (lo_j + hi_j) % 2:
+            return 2 * closed, 2 * opened
+        centre = walk(depth + 1, slacks, True)
+        return 2 * closed + centre[0], 2 * opened + centre[1]
+
+    return walk(0, [d for _, d in rows], True)
 
 
 def reference_positive_functional(X):

@@ -245,10 +245,12 @@ class TestVerifyCommand:
 
     def test_oracle_work_is_not_repeated(self, capsys, monkeypatch):
         import zonotutte.cli as cli
+        import zonotutte.geometry_oracle as geometry_oracle
         import zonotutte.tutte_core as tutte_core
 
-        calls = {"tutte": 0, "oracle": []}
         real_tutte, real_counts = tutte_core.multiplicity_tutte, cli.closed_open_counts
+        real_hrep = geometry_oracle.zonotope_hrep
+        calls = {}
 
         def counting_tutte(X, **kw):
             calls["tutte"] += 1
@@ -258,16 +260,36 @@ class TestVerifyCommand:
             calls["oracle"].append(q)
             return real_counts(X, q, **kw)
 
+        def counting_hrep(X, q):
+            calls["facets"] += 1
+            return real_hrep(X, q)
+
         monkeypatch.setattr(cli, "multiplicity_tutte", counting_tutte)
         monkeypatch.setattr(tutte_core, "multiplicity_tutte", counting_tutte)
         monkeypatch.setattr(cli, "closed_open_counts", counting_counts)
-        code, _, _ = run_cli(
-            capsys, "verify", "--vectors", "2,0;0,2;1,1", "--q-list", "2,3,2", "--oracle"
-        )
-        assert code == 0
-        # M_X once, then qX once per q; one box scan per distinct q, plus q=1
-        assert calls["tutte"] == 1 + 3
-        assert calls["oracle"] == [2, 3, 1]
+        monkeypatch.setattr(cli, "zonotope_hrep", counting_hrep)
+        monkeypatch.setattr(geometry_oracle, "zonotope_hrep", counting_hrep)
+        for q_list, tutte_calls, oracle_calls in (
+            # M_X once, then qX once per distinct q; one box scan per
+            # distinct q, plus q = 1
+            ("2,3,2", 1 + 2, [2, 3, 1]),
+            # at q = 1 the dilation identity's left side is M_X itself
+            ("1,2,1", 1 + 1, [1, 2]),
+        ):
+            calls.update(tutte=0, oracle=[], facets=0)
+            code, out, _ = run_cli(
+                capsys, "verify", "--vectors", "2,0;0,2;1,1", "--q-list", q_list, "--oracle"
+            )
+            assert code == 0
+            identities = [c["identity"] for c in json.loads(out)["checks"]]
+            # every q of the list keeps its row, repeats included
+            assert [i for i in identities if i.startswith("dilation")] == [
+                f"dilation_identity_q{q}" for q in q_list.split(",")
+            ]
+            assert calls["tutte"] == tutte_calls
+            assert calls["oracle"] == oracle_calls
+            # the facets are enumerated once, at q = 1, for every q
+            assert calls["facets"] == 1
 
 
 class TestVerifyFailurePath:

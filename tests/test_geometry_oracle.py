@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,7 +23,7 @@ from zonotutte import (
     rank,
     zonotope_hrep,
 )
-from zonotutte.geometry_oracle import _box_ranges
+from zonotutte.geometry_oracle import _box_ranges, _closed_open_walk
 
 from conftest import NEAR_1E20, random_full_rank_list
 from oracle_reference import (
@@ -30,6 +31,7 @@ from oracle_reference import (
     classify_point,
     reference_counts,
     reference_hrep,
+    reference_line_walk,
     reference_positive_functional,
 )
 
@@ -81,6 +83,37 @@ def functional_lists(draw):
         n,
         [tuple(k * x + l * y for x, y in zip(base[i], base[j])) for i, k, j, l in picks],
     )
+
+
+@st.composite
+def walk_cases(draw):
+    """(X, q): X full rank in Z^n, n in 1..4, n to n + 4 vectors, q in 1..4.
+    Entries are in [-1, 1] to [-3, 3], so many facet rows share a slope,
+    with zero and repeated vectors; one coordinate may take entries near
+    10^20, which makes it the walked axis.  A unit vector is appended for
+    each coordinate whose column sum has the wrong parity, so every pattern
+    of centre parities is drawn.  The box has at most 4,000 lines."""
+    n = draw(st.integers(1, 4))
+    bound = (3, 2, 1, 1)[n - 1]
+    distinct = draw(
+        st.lists(st.tuples(*[st.integers(-bound, bound)] * n), min_size=1, max_size=n + 4)
+    )
+    # index len(distinct) is the zero vector
+    picks = draw(st.lists(st.integers(0, len(distinct)), min_size=n, max_size=n + 4))
+    vectors = [distinct[i] if i < len(distinct) else (0,) * n for i in picks]
+    long, big, shift = draw(st.integers(0, n - 1)), draw(NEAR_1E20), draw(st.integers(-1, 1))
+    vectors = [
+        tuple(x * big + shift if j == long else x for j, x in enumerate(v)) for v in vectors
+    ]
+    for j, parity in enumerate(draw(st.tuples(*[st.integers(0, 1)] * n))):
+        if sum(v[j] for v in vectors) % 2 != parity:
+            vectors.append(tuple(int(k == j) for k in range(n)))
+    X = VectorList(n, vectors)
+    assume(rank(X) == n)
+    q = draw(st.integers(1, 4))
+    sides = sorted(hi - lo + 1 for lo, hi in _box_ranges(X, q))
+    assume(math.prod(sides[:-1]) <= 4000)
+    return X, q
 
 
 def points_of(H, ranges):
@@ -276,6 +309,16 @@ class TestBruteForceCount:
                             break
                     for q in (1, 2):
                         assert closed_open_counts(X, q) == reference_counts(X, q), (X, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_envelope_walk_matches_line_walk(self, case):
+        # the per-slab envelopes against the walk that takes every facet row
+        # on every line, on the same rows and box
+        X, q = case
+        rows, ranges = zonotope_hrep(X, q).inequalities, _box_ranges(X, q)
+        assert _closed_open_walk(rows, ranges) == reference_line_walk(rows, ranges)
+        assert closed_open_counts(X, q, base=zonotope_hrep(X, 1)) == closed_open_counts(X, q)
 
     def test_dilation_compatibility(self, small_corpus):
         for X in small_corpus[:8]:

@@ -40,6 +40,30 @@ def test_imports_are_standard_library_or_relative():
     assert found == []
 
 
+def test_exact_arithmetic_only():
+    # every number stays exact: no true division, no float and no
+    # fractions, whose slope keys would be the shortcut in the oracle's
+    # envelopes; integer code divides with // and divmod
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno} /")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{path.name}:{node.lineno} float")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+            elif isinstance(node, ast.Import):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.partition(".")[0] == "fractions"
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                found.append(f"{path.name}:{node.lineno} fractions")
+    assert found == []
+
+
 def _classes_defined(name):
     tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
     return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
