@@ -26,6 +26,10 @@ ambient space (DimensionDeficient); 4 an enumeration cap was exceeded
 ehrhart, count, volume and interior read E off the k-vector sum
 (ehrhart_via_independent_sets) and never build M_X; tutte and verify build
 it, and verify also takes E the second way.
+
+A call imports only what its command runs: the geometric oracle
+(geometry_oracle) loads on the verify --oracle path alone, and the
+parser reads the oracle's default cap from errors.
 """
 
 from __future__ import annotations
@@ -43,9 +47,8 @@ from .ehrhart import (
     interior_polynomial,
     scalar_corollaries,
 )
-from .errors import CapExceeded, DimensionDeficient
+from .errors import MAX_BOX_POINTS, CapExceeded, DimensionDeficient
 from .exact_linalg import VectorList
-from .geometry_oracle import MAX_BOX_POINTS, closed_open_counts, zonotope_hrep
 from .polynomials import (
     BiPoly,
     UniPoly,
@@ -204,11 +207,15 @@ def _cmd_verify(X: VectorList, args) -> dict:
     # the open count; q = 1 also serves the corollaries
     counts: dict[int, tuple[int, int]] = {}
     if args.oracle:
+        from . import geometry_oracle
+
         check_input(X, args.max_subsets)
-        facets = zonotope_hrep(X, 1)
+        facets = geometry_oracle.zonotope_hrep(X, 1)
         for q in [*q_list, 1]:
             if q not in counts:
-                counts[q] = closed_open_counts(X, q, max_box=args.max_box, base=facets)
+                counts[q] = geometry_oracle.closed_open_counts(
+                    X, q, max_box=args.max_box, base=facets
+                )
 
     M = multiplicity_tutte(X, max_list_size=args.max_subsets)
     n = M.ambient_dim

@@ -1,8 +1,12 @@
 """Exception hierarchy shared by all zonotutte modules.
 
 The CLI maps each class but UnboundedCone, which only the library raises,
-to one exit code: DimensionDeficient to 3, CapExceeded to 4.
+to one exit code: DimensionDeficient to 3, CapExceeded to 4.  The default
+cap on the oracle's work lives here too, so the CLI's parser reads it
+without importing the oracle.
 """
+
+MAX_BOX_POINTS = 10_000_000  # lines of the bounding box times facet rows
 
 
 class ZonotutteError(Exception):

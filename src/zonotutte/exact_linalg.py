@@ -19,8 +19,7 @@ and the independent-set Ehrhart sum (ehrhart module) uses none of this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DimensionDeficient
 
@@ -32,23 +31,24 @@ def _check_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix; entries stored row-major."""
 
+    __slots__ = ("rows", "cols", "entries")
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        for e in entries:
             _check_int(e)
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], dim: int) -> "IntMatrix":
@@ -60,13 +60,14 @@ class IntMatrix:
         return cls(dim, len(cols), flat)
 
 
-@dataclass(frozen=True)
 class VectorList:
     """An ordered list of integer vectors in Z^dim.
 
-    Duplicates and zero vectors are permitted; order is preserved.
+    Duplicates and zero vectors are permitted; order is preserved.  Two
+    lists are equal, and hash alike, when dim and vectors are.
     """
 
+    __slots__ = ("dim", "vectors")
     dim: int
     vectors: tuple[tuple[int, ...], ...]
 
@@ -77,8 +78,19 @@ class VectorList:
         for v in vecs:
             if len(v) != dim:
                 raise ValueError(f"vector {v} does not have length {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vectors", vecs)
+        self.dim = dim
+        self.vectors = vecs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.vectors == other.vectors
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.vectors))
+
+    def __repr__(self) -> str:
+        return f"VectorList(dim={self.dim!r}, vectors={self.vectors!r})"
 
     def __len__(self) -> int:
         return len(self.vectors)

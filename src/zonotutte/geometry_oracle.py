@@ -61,23 +61,20 @@ cone is strictly positive on the list whenever any functional is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cmp_to_key
 from itertools import combinations
 from operator import sub
-from typing import Sequence
 
 from . import exact_linalg
-from .errors import CapExceeded, UnboundedCone
+from .errors import MAX_BOX_POINTS, CapExceeded, UnboundedCone
 from .exact_linalg import VectorList
 
-MAX_BOX_POINTS = 10_000_000
 MAX_BRUTE_FORCE_DIM = 4
 
 Row = tuple[tuple[int, ...], int]  # coeffs . v <= rhs
 
 
-@dataclass(frozen=True)
 class HRep:
     """Inequality description normal . p <= offset of a rational polytope.
 
@@ -87,8 +84,24 @@ class HRep:
     nevertheless emits exactly the facets.
     """
 
+    __slots__ = ("dim", "inequalities")
     dim: int
-    inequalities: tuple[tuple[tuple[int, ...], int], ...]
+    inequalities: tuple[Row, ...]
+
+    def __init__(self, dim: int, inequalities: tuple[Row, ...]):
+        self.dim = dim
+        self.inequalities = inequalities
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.inequalities == other.inequalities
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.inequalities))
+
+    def __repr__(self) -> str:
+        return f"HRep(dim={self.dim!r}, inequalities={self.inequalities!r})"
 
 
 def _bareiss(m: list[list[int]]) -> int:

@@ -20,8 +20,8 @@ polynomial is that text, e.g. "x^2 + 4x + y + 5" or "11q^2 - 6q + 1".
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from math import comb
-from typing import Iterable, Mapping
 
 from .exact_linalg import _check_int
 

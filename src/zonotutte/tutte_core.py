@@ -25,7 +25,6 @@ arithmetic with this pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import CapExceeded
@@ -41,7 +40,6 @@ from .polynomials import BiPoly, expand_shifted_basis
 MAX_LIST_SIZE = 24
 
 
-@dataclass(frozen=True)
 class TutteResult:
     """A Tutte-type polynomial together with the data it was built from.
 
@@ -50,11 +48,26 @@ class TutteResult:
     the defining sum (all entries nonnegative for the weighted variant).
     """
 
+    __slots__ = ("polynomial", "shifted_terms", "ambient_dim", "list_size", "is_unimodular")
     polynomial: BiPoly
     shifted_terms: dict[tuple[int, int], int]
     ambient_dim: int
     list_size: int
     is_unimodular: bool
+
+    def __init__(
+        self,
+        polynomial: BiPoly,
+        shifted_terms: dict[tuple[int, int], int],
+        ambient_dim: int,
+        list_size: int,
+        is_unimodular: bool,
+    ):
+        self.polynomial = polynomial
+        self.shifted_terms = shifted_terms
+        self.ambient_dim = ambient_dim
+        self.list_size = list_size
+        self.is_unimodular = is_unimodular
 
 
 def check_input(X: VectorList, max_list_size: int) -> None:

@@ -248,7 +248,8 @@ class TestVerifyCommand:
         import zonotutte.geometry_oracle as geometry_oracle
         import zonotutte.tutte_core as tutte_core
 
-        real_tutte, real_counts = tutte_core.multiplicity_tutte, cli.closed_open_counts
+        real_tutte = tutte_core.multiplicity_tutte
+        real_counts = geometry_oracle.closed_open_counts
         real_hrep = geometry_oracle.zonotope_hrep
         calls = {}
 
@@ -266,8 +267,9 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(cli, "multiplicity_tutte", counting_tutte)
         monkeypatch.setattr(tutte_core, "multiplicity_tutte", counting_tutte)
-        monkeypatch.setattr(cli, "closed_open_counts", counting_counts)
-        monkeypatch.setattr(cli, "zonotope_hrep", counting_hrep)
+        # cli imports the oracle on the verify --oracle path and calls it
+        # through the module, so the module's names are the ones to patch
+        monkeypatch.setattr(geometry_oracle, "closed_open_counts", counting_counts)
         monkeypatch.setattr(geometry_oracle, "zonotope_hrep", counting_hrep)
         for q_list, tutte_calls, oracle_calls in (
             # M_X once, then qX once per distinct q; one box scan per
@@ -685,3 +687,79 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["all_pass"] is True
+
+    # modules a plain command must not import: dataclasses and inspect cost
+    # about 10 ms of start-up, the oracle runs only for verify --oracle
+    HEAVY = ("dataclasses", "inspect", "zonotutte.geometry_oracle", "numpy")
+
+    @pytest.mark.parametrize(
+        "argv, oracle",
+        [
+            (["volume", "--vectors", "3,0;0,2;1,1"], False),
+            (["tutte", "--vectors", "3,0;0,2;1,1"], False),
+            (["verify", "--oracle", "--vectors", "3,0;0,2;1,1"], True),
+        ],
+    )
+    def test_calls_import_only_what_they_run(self, argv, oracle):
+        # runs python -m zonotutte in a fresh interpreter, then prints which
+        # of HEAVY the call left in sys.modules; a module the interpreter's
+        # own start-up loaded (a site .pth file, say) is not the call's
+        code = (
+            "import runpy, sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.argv = ['zonotutte', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('zonotutte', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            f"loaded = [m for m in {self.HEAVY!r} if m in sys.modules and m not in before]\n"
+            "print(' '.join(loaded), file=sys.stderr)\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == (["zonotutte.geometry_oracle"] if oracle else [])
+        report = json.loads(proc.stdout)
+        if oracle:
+            assert report["results"]["all_pass"] is True
+            assert "closed_count_q1" in {c["identity"] for c in report["checks"]}
+        else:
+            assert report["command"] == argv[0]
+
+    def test_package_names_resolve_lazily(self):
+        # importing the package, or one name from it, loads no module the
+        # name does not come from
+        code = (
+            "import sys\n"
+            "import zonotutte\n"
+            "assert not [m for m in sys.modules if m.startswith('zonotutte.')]\n"
+            "from zonotutte import VectorList\n"
+            "assert 'zonotutte.exact_linalg' in sys.modules\n"
+            "assert 'zonotutte.geometry_oracle' not in sys.modules\n"
+            "assert 'dataclasses' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestPackageNames:
+    def test_star_import_binds_every_public_name(self):
+        namespace: dict = {}
+        exec("from zonotutte import *", namespace)
+        assert len(zonotutte.__all__) == 27
+        for name in zonotutte.__all__:
+            assert namespace[name] is getattr(zonotutte, name)
+        assert set(namespace) - {"__builtins__"} == set(zonotutte.__all__)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(zonotutte.__all__) <= set(dir(zonotutte))
+        assert "__version__" in dir(zonotutte)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            zonotutte.no_such_name
+        assert not hasattr(zonotutte, "MAX_BOX_POINTS")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from zonotutte import VectorList, multiplicity, rank
+from zonotutte import IntMatrix, VectorList, multiplicity, rank
 from zonotutte.exact_linalg import _step, lattice_multiplicity, span
 from tutte_reference import minor_gcd, rank_and_multiplicity
 
@@ -28,6 +28,30 @@ def corpus(seed, count=60):
     for t in range(count):
         n = rng.randint(1, 7)
         yield rng, n, random_generators(rng, n, BOUNDS[t % len(BOUNDS)])
+
+
+class TestRecords:
+    def test_vector_lists_are_values(self):
+        X = VectorList(2, [(3, 0), [0, 2], (1, 1)])
+        same = VectorList(2, [[3, 0], (0, 2), (1, 1)])
+        assert X == same and hash(X) == hash(same)
+        assert len({X, same}) == 1
+        assert X != VectorList(2, [(0, 2), (3, 0), (1, 1)])  # order counts
+        assert X != VectorList(3, [])
+        assert X != X.vectors
+        assert repr(X) == "VectorList(dim=2, vectors=((3, 0), (0, 2), (1, 1)))"
+
+    def test_int_matrix_checks_its_entries(self):
+        M = IntMatrix.from_columns([(1, 2), (3, 4), (5, 6)], 2)
+        assert (M.rows, M.cols, M.entries) == (2, 3, (1, 3, 5, 2, 4, 6))
+        with pytest.raises(ValueError, match="expected 4 entries, got 3"):
+            IntMatrix(2, 2, (1, 2, 3))
+        with pytest.raises(ValueError):
+            IntMatrix(-1, 0, ())
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, (1, True))
+        with pytest.raises(TypeError):
+            VectorList(1, [(False,)])
 
 
 class TestRank:

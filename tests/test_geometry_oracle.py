@@ -124,6 +124,18 @@ def points_of(H, ranges):
 
 
 class TestZonotopeHrep:
+    def test_equal_polytopes_compare_equal(self):
+        # the rows are primitive and sorted, so the order and the choice of
+        # generators do not show
+        H = zonotope_hrep(WORKED, 2)
+        assert H == zonotope_hrep(VectorList(2, reversed(WORKED.vectors)), 2)
+        assert H == zonotope_hrep(VectorList(2, [(6, 0), (0, 4), (2, 2)]), 1)
+        assert hash(H) == hash(HRep(dim=2, inequalities=H.inequalities))
+        assert H != zonotope_hrep(WORKED, 1)
+        assert H != HRep(dim=3, inequalities=H.inequalities)
+        assert H != H.inequalities
+        assert repr(H).startswith("HRep(dim=2, inequalities=(((-1, 0), 0), ((-1, 1), 4), ")
+
     def test_unit_square(self):
         H = zonotope_hrep(UNIT_SQUARE, 1)
         assert set(H.inequalities) == {

@@ -107,3 +107,19 @@ def test_one_exception_class_per_exit_code():
     assert len(pairs) == len(caught) == len({code for _, code in pairs})
     assert set(caught) - errors <= _classes_defined("cli.py")
     assert errors - caught == {"UnboundedCone"}
+
+
+def test_no_dataclasses():
+    # dataclasses imports inspect, ast and dis, about 10 ms of every CLI
+    # call's start-up; the records are plain classes with __slots__
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "dataclasses"]
+    assert found == []
