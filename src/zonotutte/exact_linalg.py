@@ -14,6 +14,14 @@ keys are equal; rank is the number of rows of that key, and
 lattice_multiplicity reads m(A) off it by unimodular column steps.  No
 minor is computed here: the geometric oracle computes its own minors,
 and the independent-set Ehrhart sum (ehrhart module) uses none of this.
+
+Both kernel functions are called once per lattice state of the Tutte
+sum, so each spends as few Python operations as it can.  At full rank
+the pivots are the diagonal and need no scan (below it, one running pass
+finds them); a pivot that divides the entry it meets costs one row
+subtraction rather than a unimodular step; a basis is copied only when
+it changes and re-reduced only from its first changed row; and a vector
+already in the lattice returns the basis object itself.
 """
 
 from __future__ import annotations
@@ -105,8 +113,16 @@ class VectorList:
 Lattice = tuple[tuple[int, ...], ...]
 
 
-def _leading(row: Sequence[int]) -> int:
-    return next(j for j, x in enumerate(row) if x)
+def _pivots(basis: Lattice) -> list[int]:
+    """Leading columns of a basis in echelon form, in one running pass."""
+    pivots = []
+    col = 0
+    for row in basis:
+        while not row[col]:
+            col += 1
+        pivots.append(col)
+        col += 1
+    return pivots
 
 
 def _step(a: Sequence[int], f: Sequence[int], i: int) -> tuple[list[int], list[int]]:
@@ -129,41 +145,50 @@ def hnf_insert(basis: Lattice, v: Sequence[int]) -> Lattice:
     leading entry (pivot) positive, and every entry above a pivot in
     [0, pivot).  That form is unique for a lattice, so the result is a
     key that depends only on the lattice spanned, not on the generators.
+
+    v is cleared column by column: a pivot that divides v's entry takes
+    one row subtraction, any other entry one unimodular step (_step) that
+    leaves the gcd as the pivot, and an entry in a column without a pivot
+    makes v a new row.  At full rank the pivots sit on the diagonal and
+    no scan is needed.  basis is copied at its first change, and the
+    entries above the pivots are reduced again only from the first
+    changed row on; if nothing changed (v already lies in the lattice, as
+    every v does in Z^n), basis itself is returned.
     """
     n = len(v)
-    rows = list(basis)
-    # at full rank the pivots sit on the diagonal
-    pivots = list(range(n)) if len(rows) == n else [_leading(row) for row in rows]
-    v = list(v)
-    changed = False
+    r = len(basis)
+    pivots = range(n) if r == n else _pivots(basis)
+    rows = basis
     k = 0
     for col in range(n):
-        if not v[col]:
+        x = v[col]
+        if not x:
             continue
-        while k < len(rows) and pivots[k] < col:
+        while k < r and pivots[k] < col:
             k += 1
-        if k == len(rows) or pivots[k] > col:
-            rows.insert(k, v if v[col] > 0 else [-x for x in v])
-            pivots.insert(k, col)
-            changed = True
-            break
-        a = rows[k]
-        q = v[col] // a[col]
-        v = [x - q * y for x, y in zip(v, a)]
-        if v[col]:
-            # 0 < v[col] < a[col]: the step leaves the gcd as the pivot
-            rows[k], v = _step(a, v, col)
-            changed = True
+        if k < r and pivots[k] == col and not x % rows[k][col]:
+            a = rows[k]
+            q = x // a[col]
+            v = [y - q * z for y, z in zip(v, a)]
+        else:
+            if rows is basis:
+                rows, first = list(basis), k
+            if k == r or pivots[k] > col:
+                rows.insert(k, v if x > 0 else [-y for y in v])
+                pivots.insert(k, col)
+                break
+            rows[k], v = _step(rows[k], v, col)
         k += 1
-    if not changed:
+    if rows is basis:
         return basis
-    for k, p in enumerate(pivots):
+    for k in range(first, len(rows)):
         row = rows[k]
+        p = pivots[k]
         for j in range(k):
             q = rows[j][p] // row[p]
             if q:
                 rows[j] = [x - q * y for x, y in zip(rows[j], row)]
-    return tuple(tuple(row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def lattice_multiplicity(basis: Lattice) -> int:
@@ -171,13 +196,14 @@ def lattice_multiplicity(basis: Lattice) -> int:
 
     The index of the lattice in the integer points of its real span, which
     is the index in Z^r of the lattice spanned by the n columns of the
-    r x n basis.  At rank n that is the product of the pivots.  Below it,
-    each row i, from the last up, has its pivot column a gather the row-i
-    entries of the column lattice: every non-pivot column f with f[i] != 0
-    is folded into a by one unimodular step (_step), after which a[i] is
-    their gcd and f[i] = 0.  The rows below i are already zero in every
-    column left, so the index is the product of the a[i]; at rank 1 it is
-    the gcd of the row.  The zero lattice gives 1.
+    r x n basis.  At rank n that is the product of the pivots, and at
+    rank 1 the gcd of the row.  Otherwise each row i, from the last up,
+    has its pivot column a gather the row-i entries of the column
+    lattice: a non-pivot column f whose f[i] is a multiple of a[i] is
+    cleared by one subtraction, any other f with f[i] != 0 is folded into
+    a by one unimodular step (_step), after which a[i] is their gcd and
+    f[i] = 0.  The rows below i are already zero in every column left, so
+    the index is the product of the a[i].  The zero lattice gives 1.
     """
     r = len(basis)
     if not r:
@@ -185,15 +211,23 @@ def lattice_multiplicity(basis: Lattice) -> int:
     n = len(basis[0])
     if r == n:
         return math.prod(basis[i][i] for i in range(r))
-    pivots = [_leading(row) for row in basis]
+    if r == 1:
+        return math.gcd(*basis[0])
+    pivots = _pivots(basis)
     free = [[row[j] for row in basis] for j in set(range(n)).difference(pivots)]
     m = 1
     for i in range(r - 1, -1, -1):
         # the rows of a and of the folded columns below i are zero; drop them
         a = [basis[k][pivots[i]] for k in range(i + 1)]
         for k, f in enumerate(free):
-            if f[i]:
+            x = f[i]
+            if not x:
+                continue
+            if x % a[i]:
                 a, free[k] = _step(a, f, i)
+            else:
+                q = x // a[i]
+                free[k] = [y - q * z for y, z in zip(f, a)]
         m *= a[i]
     return m
 

@@ -408,7 +408,7 @@ def find_positive_functional(X: VectorList) -> tuple[int, ...] | None:
     n = X.dim
     if len(X) == 0:
         return tuple(1 if j == 0 else 0 for j in range(n))
-    pivots = [exact_linalg._leading(row) for row in exact_linalg.span(X.vectors)]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in exact_linalg.span(X.vectors)]
     projected = [tuple(v[j] for j in pivots) for v in X.vectors]
     total = [0] * len(pivots)
     for normal in _normals(projected, len(pivots)):

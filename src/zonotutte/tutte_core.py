@@ -14,9 +14,16 @@ A term depends on A only through |A| and the lattice A spans, which fixes
 r(A) and m(A).  So the sum is taken without visiting sublists: one pass
 over X keeps, for every lattice spanned by a sublist of the vectors seen
 so far, how many sublists of each size span it.  Each vector either
-leaves a sublist's lattice as it is (skipped) or extends it (added).
-Lattices are keyed by their canonical Hermite normal form, and m(L) is
-computed once per lattice at the end.
+leaves a sublist's lattice as it is (skipped) or extends it (added), so
+the state table is updated in place: a skipped vector moves no state,
+and each state's counts from before the vector, read off a snapshot of
+the table, are added to the lattice it grows to.  Lattices are keyed by
+their canonical Hermite normal form, and m(L) is computed once per
+lattice at the end.  The counts of one lattice are packed into one
+integer, a field of |X| + 1 bits per size s; the sublists of size s
+number C(|X|, s) < 2^(|X|+1), however they are grouped, so the packed
+counts of all lattices with one (rank, m) pair are summed without any
+field carrying into the next, and each pair is unpacked once.
 
 At y = 1 only independent sublists contribute; the Ehrhart side sums
 those alone, by their k-vectors (ehrhart module), and shares no lattice
@@ -85,24 +92,28 @@ def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult
     n = X.dim
     # counts[L] holds, for each size s, the number of sublists of size s
     # spanning L, packed into bits [s*width, (s+1)*width) of one integer.
-    # A count is at most 2^|X| < 2^width, so fields never carry into each
-    # other, and adding a vector to every sublist is a shift by width.
+    # A count is at most C(|X|, s) < 2^width, so fields never carry into
+    # each other, and adding a vector to every sublist is a shift by width.
     width = len(X) + 1
     counts: dict[Lattice, int] = {(): 1}
     for v in X.vectors:
-        extended: dict[Lattice, int] = {}
-        for L, packed in counts.items():
-            extended[L] = extended.get(L, 0) + packed
+        # a skipped vector leaves every state where it is; the snapshot
+        # keeps the counts from before v, which are the ones v extends
+        for L, packed in list(counts.items()):
             grown = hnf_insert(L, v)
-            extended[grown] = extended.get(grown, 0) + (packed << width)
-        counts = extended
+            counts[grown] = counts.get(grown, 0) + (packed << width)
+
+    # summing the lattices of one (rank, m) carries no field either: the
+    # group's field for size s still counts at most C(|X|, s) sublists
+    groups: dict[tuple[int, int], int] = {}
+    for L, packed in counts.items():
+        key = (len(L), lattice_multiplicity(L))
+        groups[key] = groups.get(key, 0) + packed
 
     mask = (1 << width) - 1
     shifted: dict[tuple[int, int], int] = {}
     unimodular = True
-    for L, packed in counts.items():
-        r = len(L)
-        mult = lattice_multiplicity(L)
+    for (r, mult), packed in groups.items():
         if mult != 1 and r == n and packed >> (n * width) & mask:
             unimodular = False
         size = 0

@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonotutte import IntMatrix, VectorList, multiplicity, rank
-from zonotutte.exact_linalg import _step, lattice_multiplicity, span
-from tutte_reference import minor_gcd, rank_and_multiplicity
+from zonotutte.exact_linalg import _step, hnf_insert, lattice_multiplicity, span
+from conftest import NEAR_1E20
+from tutte_reference import minor_gcd, rank_and_multiplicity, reference_hnf_insert
 
 
 def sympy_matrix(sympy, vectors, dim):
@@ -278,3 +281,53 @@ class TestHermiteKernel:
     def test_zero_lattice(self):
         assert span([]) == span([(0, 0, 0)]) == ()
         assert lattice_multiplicity(()) == 1
+
+
+@st.composite
+def insert_chains(draw):
+    """(n, start, chain): a canonical basis in Z^n, full rank or not, and
+    vectors to insert into it one by one.  A chain vector is a fresh one,
+    zero, a repeat of an earlier vector, or the sum of two earlier ones."""
+    n = draw(st.integers(1, 6))
+    entries = draw(st.sampled_from([NEAR_1E20, st.integers(-5, 5)]))
+    vector = st.tuples(*[entries] * n)
+    seen = draw(st.lists(vector, max_size=n))
+    if draw(st.booleans()):
+        # a nonzero diagonal makes the start full rank
+        diagonal = draw(st.lists(entries.filter(bool), min_size=n, max_size=n))
+        seen += [tuple(d * (i == j) for j in range(n)) for i, d in enumerate(diagonal)]
+    start = ()
+    for v in seen:
+        start = reference_hnf_insert(start, v)
+    chain = []
+    for _ in range(draw(st.integers(1, n + 3))):
+        kind = draw(st.integers(0, 3)) if seen else 0
+        if kind == 0:
+            v = draw(vector)
+        elif kind == 1:
+            v = (0,) * n
+        elif kind == 2:
+            v = draw(st.sampled_from(seen))
+        else:
+            u, w = draw(st.sampled_from(seen)), draw(st.sampled_from(seen))
+            v = tuple(a + b for a, b in zip(u, w))
+        seen.append(v)
+        chain.append(v)
+    return n, start, chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(insert_chains())
+def test_insert_chains_match_the_reference_kernel(case):
+    # the kernel's fast paths give the reference's keys, and hand back the
+    # basis itself exactly when the reference does; m(L) is the gcd of the
+    # r x r minors of the key's rows at every rank reached
+    n, key, chain = case
+    for v in chain:
+        new = hnf_insert(key, v)
+        old = reference_hnf_insert(key, v)
+        assert new == old
+        assert (new is key) == (old is key)
+        key = new
+        r = len(key)
+        assert lattice_multiplicity(key) == (minor_gcd(key, n, r) if r else 1)

@@ -123,3 +123,22 @@ def test_no_dataclasses():
                 continue
             found += [f"{path.name}:{node.lineno}" for name in names if name == "dataclasses"]
     assert found == []
+
+
+def test_no_cache_outlives_a_call():
+    # the kernel and the sums keep no state between calls, so a benchmark
+    # that repeats its inputs times the work every call does; the cli
+    # parser cache is the one allowed
+    names = ("exact_linalg", "tutte_core", "ehrhart", "polynomials", "geometry_oracle")
+    found = []
+    for name in names:
+        path = PACKAGE / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                label = getattr(target, "attr", getattr(target, "id", None))
+                if label in ("cache", "lru_cache"):
+                    found.append(f"{path.name}:{decorator.lineno} {label}")
+    assert found == []

@@ -4,18 +4,66 @@ These are the direct enumerations of the defining sums over sublists.
 Rank and multiplicity of each sublist come from its minors: r(A) is the
 largest k with a nonzero k x k minor, and m(A) is the gcd of the r x r
 minors (minor_gcd, the reference for the lattice kernel's m).  Each minor
-is a Bareiss elimination, the geometric oracle's own; no Hermite normal
-form is built, so the references are independent of the lattice DP in
+is a Bareiss elimination, the geometric oracle's own; these sums build
+no Hermite normal form, so they are independent of the lattice DP in
 tutte_core, of lattice_multiplicity, and of the k-vector DP in ehrhart
 that the property tests compare them with.
+
+reference_hnf_insert is the lattice kernel's plain Hermite insert: one
+leading-column scan per row, a row subtraction before every step, a
+copy of the basis on every call and a back-reduction of every row.  The
+kernel's hnf_insert, which skips all of these where it can, is checked
+against it key for key.
 """
 
 import math
 from itertools import combinations
 
 from zonotutte import UniPoly
-from zonotutte.exact_linalg import VectorList
+from zonotutte.exact_linalg import VectorList, _step
 from zonotutte.geometry_oracle import _bareiss
+
+
+def _leading(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def reference_hnf_insert(basis, v):
+    """Canonical row Hermite normal form of the lattice spanned by basis and v."""
+    n = len(v)
+    rows = list(basis)
+    # at full rank the pivots sit on the diagonal
+    pivots = list(range(n)) if len(rows) == n else [_leading(row) for row in rows]
+    v = list(v)
+    changed = False
+    k = 0
+    for col in range(n):
+        if not v[col]:
+            continue
+        while k < len(rows) and pivots[k] < col:
+            k += 1
+        if k == len(rows) or pivots[k] > col:
+            rows.insert(k, v if v[col] > 0 else [-x for x in v])
+            pivots.insert(k, col)
+            changed = True
+            break
+        a = rows[k]
+        q = v[col] // a[col]
+        v = [x - q * y for x, y in zip(v, a)]
+        if v[col]:
+            # 0 < v[col] < a[col]: the step leaves the gcd as the pivot
+            rows[k], v = _step(a, v, col)
+            changed = True
+        k += 1
+    if not changed:
+        return basis
+    for k, p in enumerate(pivots):
+        row = rows[k]
+        for j in range(k):
+            q = rows[j][p] // row[p]
+            if q:
+                rows[j] = [x - q * y for x, y in zip(rows[j], row)]
+    return tuple(tuple(row) for row in rows)
 
 
 def minor_gcd(vectors, dim, k):
