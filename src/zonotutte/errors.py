@@ -20,8 +20,8 @@ class DimensionDeficient(ZonotutteError):
 class CapExceeded(ZonotutteError):
     """The list is longer than the list-length cap, an oracle count would
     exceed the cap on its work (lines of the bounding box times facets of
-    the zonotope), or the dimension is above the largest the oracle counts
-    in."""
+    the zonotope), the dimension is above the largest the oracle counts
+    in, or the partition function's search passes its node cap."""
 
 
 class UnboundedCone(ZonotutteError):

@@ -11,9 +11,16 @@ One exact algorithm serves every caller: the Hermite normal form.  A
 lattice is represented by its canonical row Hermite normal form
 (hnf_insert, span), so two lists span the same lattice exactly when their
 keys are equal; rank is the number of rows of that key, and
-lattice_multiplicity reads m(A) off it by unimodular column steps.  No
-minor is computed here: the geometric oracle computes its own minors,
-and the independent-set Ehrhart sum (ehrhart module) uses none of this.
+lattice_multiplicity reads m(A) off it by unimodular column steps; rank
+stops inserting once the key has full rank.  No minor is computed here:
+the geometric oracle computes its own minors, and the independent-set
+Ehrhart sum (ehrhart module) uses none of this.
+
+A full-rank lattice whose key has at most one pivot != 1 is cyclic: it
+is { x : c . x = 0 mod m }, with m its index.  cyclic_key reads the pair
+(m, c) off the key, and cyclic_insert adds a vector to such a lattice by
+one dot product and one gcd, no elimination; the Tutte sum keys those
+lattices by the pair.
 
 Both kernel functions are called once per lattice state of the Tutte
 sum, so each spends as few Python operations as it can.  At full rank
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 from .errors import DimensionDeficient
 
@@ -232,6 +240,48 @@ def lattice_multiplicity(basis: Lattice) -> int:
     return m
 
 
+CyclicKey = tuple[int, tuple[int, ...]]
+
+
+def cyclic_key(basis: Lattice) -> CyclicKey | None:
+    """The key (m, c) of a full-rank canonical basis (see hnf_insert) with
+    at most one pivot != 1, or None if it has two.
+
+    Such a lattice is cyclic: with p the column of its pivot m != 1, it is
+    { x : c . x = 0 mod m } for c_p = 1, c_i = -basis[i][p] mod m for
+    i < p and c_i = 0 for i > p, and m is its index in Z^n.  The pair is
+    as unique as the basis, and Z^n, with no pivot != 1, is (1, (0, ...,
+    0)).  The diagonal is scanned only up to its second pivot != 1.
+    """
+    p = -1
+    for i, row in enumerate(basis):
+        if row[i] != 1:
+            if p >= 0:
+                return None
+            p = i
+    n = len(basis)
+    if p < 0:
+        return 1, (0,) * n
+    m = basis[p][p]
+    return m, tuple([-row[p] % m for row in basis[:p]] + [1] + [0] * (n - 1 - p))
+
+
+def cyclic_insert(key: CyclicKey, v: Sequence[int]) -> CyclicKey:
+    """cyclic_key of the lattice spanned by the one keyed (m, c) and v.
+
+    Z^n / L is Z/m through x -> c . x mod m, so L + Zv is the preimage of
+    the subgroup that a = c . v mod m generates, { x : c . x = 0 mod g }
+    with g = gcd(a, m).  Its key is (g, c mod g): c_p = 1 and the zeros
+    after p stay, and g = 1 gives Z^n.  If a = 0, key itself is returned.
+    """
+    m, c = key
+    a = sum(map(mul, c, v)) % m
+    if not a:
+        return key
+    g = math.gcd(a, m)
+    return g, tuple([x % g for x in c])
+
+
 def span(vectors: Iterable[Sequence[int]]) -> Lattice:
     """Canonical Hermite basis of the lattice the vectors span."""
     basis: Lattice = ()
@@ -241,8 +291,15 @@ def span(vectors: Iterable[Sequence[int]]) -> Lattice:
 
 
 def rank(X: VectorList) -> int:
-    """Dimension of the rational span of the vectors of X (0 if empty)."""
-    return len(span(X.vectors))
+    """Dimension of the rational span of the vectors of X (0 if empty).
+
+    The vectors are inserted only until the basis has X.dim rows."""
+    basis: Lattice = ()
+    for v in X.vectors:
+        if len(basis) == X.dim:
+            break
+        basis = hnf_insert(basis, v)
+    return len(basis)
 
 
 def multiplicity(A: VectorList) -> int:

@@ -71,6 +71,7 @@ from .errors import MAX_BOX_POINTS, CapExceeded, UnboundedCone
 from .exact_linalg import VectorList
 
 MAX_BRUTE_FORCE_DIM = 4
+MAX_PARTITION_NODES = 300_000  # calls of partition_function's search
 
 Row = tuple[tuple[int, ...], int]  # coeffs . v <= rhs
 
@@ -435,14 +436,17 @@ def _solutions_single(vector: tuple[int, ...], target: Sequence[int]) -> int:
     return 1 if all(x * c == t for c, t in zip(vector, target)) else 0
 
 
-def partition_function(X: VectorList, target: Sequence[int]) -> int:
+def partition_function(
+    X: VectorList, target: Sequence[int], *, max_nodes: int = MAX_PARTITION_NODES
+) -> int:
     """Number of ways to write the target as a nonnegative integer
     combination of the list vectors.
 
     Finiteness requires a functional that is strictly positive on every
     vector; the search is a depth-first enumeration pruned by the integer
     bound x_a <= (c . target) // (c . a) for the integer functional c of
-    find_positive_functional.  Target entries must be integers.
+    find_positive_functional.  Target entries must be integers.  A search
+    that visits more than max_nodes nodes raises CapExceeded.
     """
     lam = tuple(exact_linalg._check_int(t) for t in target)
     if len(lam) != X.dim:
@@ -457,7 +461,13 @@ def partition_function(X: VectorList, target: Sequence[int]) -> int:
     weights = [sum(c * x for c, x in zip(functional, v)) for v in vectors]
     last = len(vectors) - 1
 
+    nodes = 0
+
     def search(remaining: tuple[int, ...], budget: int, idx: int) -> int:
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapExceeded(f"partition search passed {max_nodes} nodes")
         if idx == last:
             return _solutions_single(vectors[idx], remaining)
         w = weights[idx]

@@ -19,11 +19,22 @@ the state table is updated in place: a skipped vector moves no state,
 and each state's counts from before the vector, read off a snapshot of
 the table, are added to the lattice it grows to.  Lattices are keyed by
 their canonical Hermite normal form, and m(L) is computed once per
-lattice at the end.  The counts of one lattice are packed into one
-integer, a field of |X| + 1 bits per size s; the sublists of size s
-number C(|X|, s) < 2^(|X|+1), however they are grouped, so the packed
-counts of all lattices with one (rank, m) pair are summed without any
-field carrying into the next, and each pair is unpacked once.
+lattice at the end, with one exception.  A full-rank lattice whose form
+has at most one pivot != 1 is cyclic, { x : c . x = 0 mod m } with
+m = m(L), and a second table keys it by (m, c) (exact_linalg.cyclic_key):
+a vector enters it by one dot product and one gcd instead of a Hermite
+insert, the lattice it grows to is cyclic again, and m is read off the
+key.  A Hermite insert whose result has that form moves it to the second
+table, so each lattice is in exactly one of the two.  X is walked sorted
+by the last nonzero coordinate of each vector, zero vectors first: the
+sum does not depend on the order, and sparse lists such as root systems
+keep fewer lattices in the early steps that way.
+
+The counts of one lattice are packed into one integer, a field of
+|X| + 1 bits per size s; the sublists of size s number
+C(|X|, s) < 2^(|X|+1), however they are grouped, so the packed counts of
+all lattices with one (rank, m) pair are summed without any field
+carrying into the next, and each pair is unpacked once.
 
 At y = 1 only independent sublists contribute; the Ehrhart side sums
 those alone, by their k-vectors (ehrhart module), and shares no lattice
@@ -36,9 +47,12 @@ from math import comb
 
 from .errors import CapExceeded
 from .exact_linalg import (
+    CyclicKey,
     Lattice,
     VectorList,
     check_full_rank,
+    cyclic_insert,
+    cyclic_key,
     hnf_insert,
     lattice_multiplicity,
 )
@@ -87,8 +101,14 @@ def check_input(X: VectorList, max_list_size: int) -> None:
     check_full_rank(X)
 
 
-def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult:
-    check_input(X, max_list_size)
+def _last_nonzero(v: tuple[int, ...]) -> int:
+    return max((i for i, x in enumerate(v) if x), default=-1)
+
+
+def _lattice_tables(X: VectorList) -> tuple[dict[Lattice, int], dict[CyclicKey, int]]:
+    """The states of the sum: every lattice spanned by a sublist of X,
+    with its packed counts, keyed by cyclic_key where it has one (second
+    table) and by its Hermite basis otherwise (first table)."""
     n = X.dim
     # counts[L] holds, for each size s, the number of sublists of size s
     # spanning L, packed into bits [s*width, (s+1)*width) of one integer.
@@ -96,19 +116,41 @@ def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult
     # each other, and adding a vector to every sublist is a shift by width.
     width = len(X) + 1
     counts: dict[Lattice, int] = {(): 1}
-    for v in X.vectors:
-        # a skipped vector leaves every state where it is; the snapshot
-        # keeps the counts from before v, which are the ones v extends
+    cyclic: dict[CyclicKey, int] = {}
+    for v in sorted(X.vectors, key=_last_nonzero):
+        # a skipped vector leaves every state where it is; the snapshots
+        # keep the counts from before v, which are the ones v extends
+        cyclic_items = list(cyclic.items())
         for L, packed in list(counts.items()):
             grown = hnf_insert(L, v)
+            # a lattice v leaves as it is stays in its table
+            if grown is not L and len(grown) == n:
+                key = cyclic_key(grown)
+                if key is not None:
+                    cyclic[key] = cyclic.get(key, 0) + (packed << width)
+                    continue
             counts[grown] = counts.get(grown, 0) + (packed << width)
+        for key, packed in cyclic_items:
+            grown = cyclic_insert(key, v)
+            cyclic[grown] = cyclic.get(grown, 0) + (packed << width)
+    return counts, cyclic
 
-    # summing the lattices of one (rank, m) carries no field either: the
-    # group's field for size s still counts at most C(|X|, s) sublists
+
+def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult:
+    check_input(X, max_list_size)
+    n = X.dim
+    width = len(X) + 1
+    counts, cyclic = _lattice_tables(X)
+
+    # summing the packed counts of the lattices of one (rank, m) carries
+    # no field: the group's field for size s counts at most C(|X|, s)
+    # sublists, as one lattice's does
     groups: dict[tuple[int, int], int] = {}
     for L, packed in counts.items():
         key = (len(L), lattice_multiplicity(L))
         groups[key] = groups.get(key, 0) + packed
+    for (m, _), packed in cyclic.items():
+        groups[n, m] = groups.get((n, m), 0) + packed
 
     mask = (1 << width) - 1
     shifted: dict[tuple[int, int], int] = {}

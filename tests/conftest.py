@@ -19,13 +19,21 @@ NEAR_1E20 = st.one_of(
 
 
 @st.composite
-def spanning_lists(draw, entries=st.integers(-10**3, 10**3), max_size=9, max_dim=4, min_dim=1):
-    """Full-rank lists in Z^n, n in min_dim..max_dim, with zero and repeated
-    vectors."""
+def spanning_lists(
+    draw, entries=st.integers(-10**3, 10**3), max_size=9, max_dim=4, min_dim=1, min_size=0
+):
+    """Full-rank lists in Z^n, n in min_dim..max_dim, of at least min_size
+    vectors, with zero and repeated vectors."""
     n = draw(st.integers(min_dim, max_dim))
     distinct = draw(st.lists(st.tuples(*[entries] * n), min_size=n, max_size=max_size))
     # each drawn vector once, then repeats; index len(distinct) is the zero vector
-    repeats = draw(st.lists(st.integers(0, len(distinct)), max_size=max_size - len(distinct)))
+    repeats = draw(
+        st.lists(
+            st.integers(0, len(distinct)),
+            min_size=max(min_size - len(distinct), 0),
+            max_size=max_size - len(distinct),
+        )
+    )
     picks = draw(st.permutations(list(range(len(distinct))) + repeats))
     vectors = [distinct[i] if i < len(distinct) else (0,) * n for i in picks]
     X = VectorList(n, vectors)

@@ -2,11 +2,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonotutte import IntMatrix, VectorList, multiplicity, rank
-from zonotutte.exact_linalg import _step, hnf_insert, lattice_multiplicity, span
+from zonotutte.exact_linalg import (
+    _step,
+    cyclic_insert,
+    cyclic_key,
+    hnf_insert,
+    lattice_multiplicity,
+    span,
+)
 from conftest import NEAR_1E20
 from tutte_reference import minor_gcd, rank_and_multiplicity, reference_hnf_insert
 
@@ -83,6 +90,24 @@ class TestRank:
         sympy = pytest.importorskip("sympy")
         for _, n, vecs in corpus(37, count=80):
             assert rank(VectorList(n, vecs)) == sympy_matrix(sympy, vecs, n).rank()
+
+    def test_matches_determinantal_divisors(self):
+        # rank stops inserting at full rank; the reference reads r off the
+        # minors of every vector, on lists of full rank, below it and in Z^0
+        rng = random.Random(41)
+        for t in range(120):
+            n = rng.randint(0, 4)
+            k = rng.randint(0, 6)
+            if t % 3:
+                vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+            else:
+                # every vector in a random line or plane: rank-deficient for n > 2
+                gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(min(n, 2) - 1)]
+                vecs = [
+                    tuple(sum(rng.randint(-2, 2) * g[i] for g in gens) for i in range(n))
+                    for _ in range(k)
+                ]
+            assert rank(VectorList(n, vecs)) == rank_and_multiplicity(vecs, n)[0]
 
 
 class TestMinorGcd:
@@ -331,3 +356,64 @@ def test_insert_chains_match_the_reference_kernel(case):
         key = new
         r = len(key)
         assert lattice_multiplicity(key) == (minor_gcd(key, n, r) if r else 1)
+
+
+@st.composite
+def full_rank_spans(draw):
+    """(n, basis): the canonical basis of the span of n or n + 1 random
+    vectors in Z^n, n in 1..6, when that span has full rank."""
+    n = draw(st.integers(1, 6))
+    entries = draw(st.sampled_from([NEAR_1E20, st.integers(-5, 5)]))
+    basis = span(draw(st.lists(st.tuples(*[entries] * n), min_size=n, max_size=n + 1)))
+    assume(len(basis) == n)
+    return n, basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_rank_spans())
+def test_cyclic_key_reads_the_lattice(case):
+    # a key exists exactly when at most one pivot is not 1; then m is the
+    # index, c_p = 1 with zeros after p and entries in [0, m) before it,
+    # and every basis row x has c . x = 0 mod m
+    n, basis = case
+    key = cyclic_key(basis)
+    others = [i for i in range(n) if basis[i][i] != 1]
+    if len(others) > 1:
+        assert key is None
+        return
+    m, c = key
+    assert m == math.prod(basis[i][i] for i in range(n))
+    p = others[0] if others else n
+    assert c[p + 1 :] == (0,) * (n - p - 1)
+    assert all(0 <= x < m for x in c[:p])
+    if others:
+        assert c[p] == 1
+    assert all(sum(a * x for a, x in zip(c, row)) % m == 0 for row in basis)
+
+
+def test_cyclic_key_of_z_n_and_of_two_pivots():
+    for n in range(5):
+        assert cyclic_key(span([tuple(int(i == j) for j in range(n)) for i in range(n)])) == (
+            1,
+            (0,) * n,
+        )
+    assert cyclic_key(span([(2, 0, 0), (0, 1, 0), (0, 0, 3)])) is None
+    assert cyclic_key(span([(6, 0), (0, 1)])) == (6, (1, 0))
+    assert cyclic_key(span([(1, 4), (0, 6)])) == (6, (2, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_rank_spans(), st.data())
+def test_cyclic_steps_match_the_hermite_insert(case, data):
+    # along a chain of inserts the (m, c) step keeps the key of the Hermite
+    # basis, and returns the key itself exactly when the basis is kept
+    n, basis = case
+    key = cyclic_key(basis)
+    assume(key is not None)
+    entries = data.draw(st.sampled_from([NEAR_1E20, st.integers(-5, 5)]))
+    for v in data.draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=4)):
+        grown = hnf_insert(basis, v)
+        step = cyclic_insert(key, v)
+        assert step == cyclic_key(grown)
+        assert (step is key) == (grown is basis)
+        basis, key = grown, step

@@ -495,3 +495,15 @@ class TestPartitionFunction:
         for target in ((4.9,), ("4",), (True,)):
             with pytest.raises(TypeError):
                 partition_function(X, target)
+
+    def test_node_cap(self):
+        # x (1,0) + y (0,1) + z (1,1) + w (1,2) = (20, 20) has 121 solutions:
+        # z + 2w <= 20 fixes x and y, so w in 0..10 and z in 0..20-2w
+        X = VectorList(2, [(1, 0), (0, 1), (1, 1), (1, 2)])
+        assert partition_function(X, (20, 20)) == 121
+        with pytest.raises(CapExceeded, match="passed 100 nodes"):
+            partition_function(X, (20, 20), max_nodes=100)
+        # the cap counts the search's nodes, which grow with the target
+        assert partition_function(X, (2, 2), max_nodes=100) == 4
+        with pytest.raises(CapExceeded):
+            partition_function(X, (300, 300))

@@ -17,8 +17,9 @@ from zonotutte import (
     multiplicity_tutte,
     rank,
 )
+from zonotutte.tutte_core import _lattice_tables
 from conftest import NEAR_1E20, random_unimodular_list, spanning_lists
-from tutte_reference import reference_tutte_sums
+from tutte_reference import reference_lattice_sum, reference_tutte_sums
 
 WORKED = VectorList(2, [(3, 0), (0, 2), (1, 1)])
 UNIT_SQUARE = VectorList(2, [(1, 0), (0, 1)])
@@ -197,6 +198,30 @@ class TestAgainstSublistEnumeration:
         rng = random.Random(31)
         for X in [WORKED, UNIT_SQUARE] + [random_unimodular_list(rng, n) for n in (1, 2, 3, 4)]:
             self.check(X)
+
+
+@st.composite
+def long_lists(draw):
+    """Full-rank lists too long for the sublist enumeration: n in 1..5, 8
+    to 14 vectors with zero and repeated ones, entries in [-5, 5] or near
+    10^20; one in two is dilated by q in 2..4."""
+    entries = draw(st.sampled_from([st.integers(-5, 5), NEAR_1E20]))
+    X = draw(spanning_lists(entries=entries, min_size=8, max_size=14, max_dim=5))
+    q = draw(st.sampled_from([1, 1, 1, 2, 3, 4]))
+    return dilate_list(X, q) if q > 1 else X
+
+
+@settings(max_examples=50, deadline=None)
+@given(long_lists())
+def test_two_tables_match_the_single_table_reference(X):
+    # the cyclic (m, c) table and the Hermite table together hold the
+    # reference's lattices, each once, with the same counts and weights
+    for result, weighted in ((multiplicity_tutte(X), True), (classical_tutte(X), False)):
+        shifted, unimodular, states = reference_lattice_sum(X, weighted)
+        assert result.shifted_terms == shifted
+        assert result.is_unimodular == unimodular
+    hermite, cyclic = _lattice_tables(X)
+    assert len(hermite) + len(cyclic) == states
 
 
 @st.composite

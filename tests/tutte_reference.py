@@ -9,6 +9,11 @@ no Hermite normal form, so they are independent of the lattice DP in
 tutte_core, of lattice_multiplicity, and of the k-vector DP in ehrhart
 that the property tests compare them with.
 
+reference_lattice_sum is the lattice DP with one table, every lattice
+keyed by its Hermite basis.  It uses the kernel (hnf_insert,
+lattice_multiplicity) and checks only the DP's split of its states into
+a Hermite table and a cyclic (m, c) table, state count included.
+
 reference_hnf_insert is the lattice kernel's plain Hermite insert: one
 leading-column scan per row, a row subtraction before every step, a
 copy of the basis on every call and a back-reduction of every row.  The
@@ -20,7 +25,7 @@ import math
 from itertools import combinations
 
 from zonotutte import UniPoly
-from zonotutte.exact_linalg import VectorList, _step
+from zonotutte.exact_linalg import VectorList, _step, hnf_insert, lattice_multiplicity
 from zonotutte.geometry_oracle import _bareiss
 
 
@@ -64,6 +69,33 @@ def reference_hnf_insert(basis, v):
             if q:
                 rows[j] = [x - q * y for x, y in zip(rows[j], row)]
     return tuple(tuple(row) for row in rows)
+
+
+def reference_lattice_sum(X: VectorList, weighted: bool):
+    """(shifted_terms, is_unimodular, states) of the lattice DP with one
+    table: every lattice spanned by a sublist of X, in the given order,
+    keyed by its Hermite basis."""
+    n = X.dim
+    # the counts of L by sublist size s, packed into bits [s*width, (s+1)*width)
+    width = len(X) + 1
+    counts = {(): 1}
+    for v in X.vectors:
+        for L, packed in list(counts.items()):
+            grown = hnf_insert(L, v)
+            counts[grown] = counts.get(grown, 0) + (packed << width)
+    mask = (1 << width) - 1
+    shifted = {}
+    unimodular = True
+    for L, packed in counts.items():
+        r, mult = len(L), lattice_multiplicity(L)
+        if mult != 1 and r == n and packed >> (n * width) & mask:
+            unimodular = False
+        for size in range(len(X) + 1):
+            c = packed >> (size * width) & mask
+            if c:
+                key = (n - r, size - r)
+                shifted[key] = shifted.get(key, 0) + (mult * c if weighted else c)
+    return shifted, unimodular, len(counts)
 
 
 def minor_gcd(vectors, dim, k):
