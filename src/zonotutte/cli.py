@@ -255,7 +255,19 @@ def _cmd_verify(X: VectorList, args) -> dict:
     record("interior_specialization", I_poly, reverse_coefficients(alternating))
     record("coefficient_reversal", reverse_coefficients(E_theorem), shifted_y1)
 
-    points, volume, interior_points = scalar_corollaries(M)
+    corollaries = scalar_corollaries(M)
+    points, volume, interior_points = corollaries
+    # a count below zero is a fault in M; the row is written only then, so
+    # a passing report has the same rows as before the sign was checked
+    if min(corollaries) < 0:
+        checks.append(
+            {
+                "identity": "nonnegative_specializations",
+                "lhs": ", ".join(map(str, corollaries)),
+                "rhs": ">= 0",
+                "pass": False,
+            }
+        )
     record("volume_identity", E_theorem.coefficient(n), volume)
 
     if args.oracle:

@@ -93,12 +93,11 @@ def scalar_corollaries(M: TutteResult) -> tuple[int, int, int]:
     """(lattice points, volume, interior points) of the unscaled zonotope.
 
     Evaluates the weighted Tutte polynomial at (2,1), (1,1) and (0,1).
+    All three are counts, so a negative value means a faulty M; the
+    values are returned as they are, and verify reports the sign.
     """
-    values = []
-    for point in ((2, 1), (1, 1), (0, 1)):
-        v = M.polynomial.evaluate(*point)
-        if v < 0:
-            raise AssertionError(f"specialization at {point} gave {v}")
-        values.append(v)
-    return values[0], values[1], values[2]
-
+    return (
+        M.polynomial.evaluate(2, 1),
+        M.polynomial.evaluate(1, 1),
+        M.polynomial.evaluate(0, 1),
+    )

@@ -11,8 +11,9 @@ One exact algorithm serves every caller: the Hermite normal form.  A
 lattice is represented by its canonical row Hermite normal form
 (hnf_insert, span), so two lists span the same lattice exactly when their
 keys are equal; rank is the number of rows of that key, and
-lattice_multiplicity reads m(A) off it by unimodular column steps; rank
-stops inserting once the key has full rank.  No minor is computed here:
+lattice_multiplicity reads m(A) off it (by unimodular column steps, or
+at rank n - 1 as the gcd of the hyperplane's normal); rank stops
+inserting once the key has full rank.  No determinant is taken here:
 the geometric oracle computes its own minors, and the independent-set
 Ehrhart sum (ehrhart module) uses none of this.
 
@@ -22,7 +23,17 @@ is { x : c . x = 0 mod m }, with m its index.  cyclic_key reads the pair
 one dot product and one gcd, no elimination; the Tutte sum keys those
 lattices by the pair.
 
-Both kernel functions are called once per lattice state of the Tutte
+The Tutte sum stores no lattice for the last vector v it walks, only
+the rank and multiplicity of L + Zv.  insert_multiplicity reads them off
+one elimination of D v by the rows of L's basis in pivot order, with D
+the product of the pivots, so that every division is exact.  What is
+left of D v decides: nothing, when v lies in the span of L, and then
+m(L + Zv) = m(L) gcd(D, y) / D for the quotients y; one entry w_q, when
+L has rank n - 1 and v lies outside its span, and then m(L + Zv) =
+|w_q|; and below rank n - 1 a rising rank gives no answer, which
+hnf_insert then settles.
+
+The kernel functions are called once per lattice state of the Tutte
 sum, so each spends as few Python operations as it can.  At full rank
 the pivots are the diagonal and need no scan (below it, one running pass
 finds them); a pivot that divides the entry it meets costs one row
@@ -199,13 +210,54 @@ def hnf_insert(basis: Lattice, v: Sequence[int]) -> Lattice:
     return tuple(map(tuple, rows))
 
 
+def insert_multiplicity(basis: Lattice, m: int, v: Sequence[int]) -> tuple[int, int] | None:
+    """(rank, multiplicity) of the lattice spanned by basis and v, from one
+    scaled elimination and without its basis; None when v raises the rank
+    from r <= n - 2.
+
+    basis is canonical (see hnf_insert) with r rows, pivots p_k and
+    m = lattice_multiplicity(basis).  With D the product of the pivots,
+    D * Z^r lies in the row lattice of the pivot block, so eliminating
+    w = D * v row by row in pivot order divides exactly: y_k = w[p_k] //
+    basis[k][p_k], w -= y_k * basis[k].  Then D * v = y . basis + w, with
+    w zero on every pivot column.
+      * w = 0: v is in the rational span, L + Zv / L is cyclic of order
+        D / gcd(D, y), and the multiplicity is m * gcd(D, y) / D (at
+        r = n, where m = D, that is gcd(D, y)).
+      * w != 0 at r = n - 1: w is zero but at the one column q without a
+        pivot, and the index of L + Zv in Z^n is |det[basis; v]| = |w_q|,
+        since det[basis; w] = D * det[basis; v] = +-w_q * D.
+      * w != 0 at r <= n - 2: no answer; hnf_insert gives the lattice.
+    """
+    n = len(v)
+    r = len(basis)
+    pivots = range(n) if r == n else _pivots(basis)
+    d = math.prod(row[p] for row, p in zip(basis, pivots))
+    w = [d * x for x in v]
+    g = d
+    for row, p in zip(basis, pivots):
+        y = w[p] // row[p]
+        if y:
+            g = math.gcd(g, y)
+            w = [x - y * z for x, z in zip(w, row)]
+    if not any(w):
+        return r, m * g // d
+    if r == n - 1:
+        return n, abs(sum(w))
+    return None
+
+
 def lattice_multiplicity(basis: Lattice) -> int:
     """Multiplicity of the lattice with canonical basis (see hnf_insert).
 
     The index of the lattice in the integer points of its real span, which
     is the index in Z^r of the lattice spanned by the n columns of the
     r x n basis.  At rank n that is the product of the pivots, and at
-    rank 1 the gcd of the row.  Otherwise each row i, from the last up,
+    rank 1 the gcd of the row.  At rank n - 1 it is the gcd of the signed
+    maximal minors, the normal z of the hyperplane with z . row = 0 for
+    every row and z_q = D, the product of the pivots, at the one column q
+    without a pivot: back-substitution from the last row up gives each
+    z[p] by one exact division.  Otherwise each row i, from the last up,
     has its pivot column a gather the row-i entries of the column
     lattice: a non-pivot column f whose f[i] is a multiple of a[i] is
     cleared by one subtraction, any other f with f[i] != 0 is folded into
@@ -222,6 +274,13 @@ def lattice_multiplicity(basis: Lattice) -> int:
     if r == 1:
         return math.gcd(*basis[0])
     pivots = _pivots(basis)
+    if r == n - 1:
+        z = [0] * n
+        q = next((j for j, p in enumerate(pivots) if j != p), r)
+        z[q] = math.prod(row[p] for row, p in zip(basis, pivots))
+        for row, p in zip(reversed(basis), reversed(pivots)):
+            z[p] = -sum(map(mul, row, z)) // row[p]
+        return math.gcd(*z)
     free = [[row[j] for row in basis] for j in set(range(n)).difference(pivots)]
     m = 1
     for i in range(r - 1, -1, -1):

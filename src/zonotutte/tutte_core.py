@@ -30,6 +30,18 @@ by the last nonzero coordinate of each vector, zero vectors first: the
 sum does not depend on the order, and sparse lists such as root systems
 keep fewer lattices in the early steps that way.
 
+The last vector v walked is summed, not stored: no later step reads the
+lattices it makes, so each state L adds its counts straight to the
+(rank, m) groups below, once for the sublists that skip v, under
+(rank L, m(L)), and once, one size up, for those that add it, under
+(rank(L + Zv), m(L + Zv)).  A cyclic state (m, c) gives (n, gcd(c . v,
+m)).  A Hermite state of rank n or n - 1 gives what one scaled
+elimination reads off (exact_linalg.insert_multiplicity): v in the span
+of L, with m(L + Zv) = m(L) gcd(D, y) / D for D the product of the
+pivots and D v = y . L; or, at rank n - 1, v outside it, with
+m(L + Zv) = |det[L; v]|.  A state of rank n - 2 or less takes a Hermite
+insert as before, and m of the lattice it makes is computed once.
+
 The counts of one lattice are packed into one integer, a field of
 |X| + 1 bits per size s; the sublists of size s number
 C(|X|, s) < 2^(|X|+1), however they are grouped, so the packed counts of
@@ -43,7 +55,9 @@ arithmetic with this pass.
 
 from __future__ import annotations
 
-from math import comb
+from collections.abc import Sequence
+from math import comb, gcd
+from operator import mul
 
 from .errors import CapExceeded
 from .exact_linalg import (
@@ -54,6 +68,7 @@ from .exact_linalg import (
     cyclic_insert,
     cyclic_key,
     hnf_insert,
+    insert_multiplicity,
     lattice_multiplicity,
 )
 from .polynomials import BiPoly, expand_shifted_basis
@@ -105,10 +120,17 @@ def _last_nonzero(v: tuple[int, ...]) -> int:
     return max((i for i, x in enumerate(v) if x), default=-1)
 
 
-def _lattice_tables(X: VectorList) -> tuple[dict[Lattice, int], dict[CyclicKey, int]]:
-    """The states of the sum: every lattice spanned by a sublist of X,
-    with its packed counts, keyed by cyclic_key where it has one (second
-    table) and by its Hermite basis otherwise (first table)."""
+def _walk_order(X: VectorList) -> list[tuple[int, ...]]:
+    return sorted(X.vectors, key=_last_nonzero)
+
+
+def _lattice_tables(
+    X: VectorList, vectors: Sequence[tuple[int, ...]] | None = None
+) -> tuple[dict[Lattice, int], dict[CyclicKey, int]]:
+    """The states of the sum after walking vectors, by default all of X
+    in walk order: every lattice spanned by a sublist of them, with its
+    packed counts, keyed by cyclic_key where it has one (second table)
+    and by its Hermite basis otherwise (first table)."""
     n = X.dim
     # counts[L] holds, for each size s, the number of sublists of size s
     # spanning L, packed into bits [s*width, (s+1)*width) of one integer.
@@ -117,7 +139,7 @@ def _lattice_tables(X: VectorList) -> tuple[dict[Lattice, int], dict[CyclicKey, 
     width = len(X) + 1
     counts: dict[Lattice, int] = {(): 1}
     cyclic: dict[CyclicKey, int] = {}
-    for v in sorted(X.vectors, key=_last_nonzero):
+    for v in _walk_order(X) if vectors is None else vectors:
         # a skipped vector leaves every state where it is; the snapshots
         # keep the counts from before v, which are the ones v extends
         cyclic_items = list(cyclic.items())
@@ -136,21 +158,56 @@ def _lattice_tables(X: VectorList) -> tuple[dict[Lattice, int], dict[CyclicKey, 
     return counts, cyclic
 
 
-def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult:
-    check_input(X, max_list_size)
-    n = X.dim
-    width = len(X) + 1
-    counts, cyclic = _lattice_tables(X)
-
+def _last_step_groups(
+    counts: dict[Lattice, int], cyclic: dict[CyclicKey, int], v: tuple[int, ...], width: int
+) -> dict[tuple[int, int], int]:
+    """The packed counts of the whole sum by (rank, m), from the states
+    left before the last vector v: each state adds its counts under its
+    own (rank, m), for the sublists that skip v, and one size up under
+    those of L + Zv, for the sublists that add it; no lattice of the
+    last step is stored (see the module docstring)."""
+    n = len(v)
     # summing the packed counts of the lattices of one (rank, m) carries
     # no field: the group's field for size s counts at most C(|X|, s)
     # sublists, as one lattice's does
     groups: dict[tuple[int, int], int] = {}
+    for (m, c), packed in cyclic.items():
+        groups[n, m] = groups.get((n, m), 0) + packed
+        key = (n, gcd(sum(map(mul, c, v)), m))
+        groups[key] = groups.get(key, 0) + (packed << width)
+    # the states below rank n - 1 take a Hermite insert, whose scaled
+    # elimination would often give no answer; a lattice it makes that is
+    # a state too is folded with that state, so m is computed once per
+    # lattice
+    added: dict[Lattice, int] = {}
     for L, packed in counts.items():
+        if len(L) + 1 < n:
+            grown = hnf_insert(L, v)
+            added[grown] = added.get(grown, 0) + (packed << width)
+    for L, packed in counts.items():
+        r = len(L)
+        key = (r, lattice_multiplicity(L))
+        groups[key] = groups.get(key, 0) + packed + added.pop(L, 0)
+        if r + 1 >= n:
+            key = insert_multiplicity(L, key[1], v)
+            groups[key] = groups.get(key, 0) + (packed << width)
+    for L, packed in added.items():
         key = (len(L), lattice_multiplicity(L))
         groups[key] = groups.get(key, 0) + packed
-    for (m, _), packed in cyclic.items():
-        groups[n, m] = groups.get((n, m), 0) + packed
+    return groups
+
+
+def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult:
+    check_input(X, max_list_size)
+    n = X.dim
+    width = len(X) + 1
+    ordered = _walk_order(X)
+    if ordered:
+        counts, cyclic = _lattice_tables(X, ordered[:-1])
+        groups = _last_step_groups(counts, cyclic, ordered[-1], width)
+    else:
+        # the empty list spans Z^0: one sublist, of rank 0 and m = 1
+        groups = {(0, 1): 1}
 
     mask = (1 << width) - 1
     shifted: dict[tuple[int, int], int] = {}

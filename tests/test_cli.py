@@ -391,6 +391,73 @@ class TestVerifyFailurePath:
         ):
             assert passed[name] is False, name
 
+    def test_a_negative_count_is_a_fail_row(self, capsys, monkeypatch):
+        # M(0, 1) counts the interior points; a faulty evaluation that
+        # makes it negative ends in a FAIL row and exit 1, not a traceback
+        from zonotutte import BiPoly
+
+        real = BiPoly.evaluate
+
+        def negative_at_0_1(self, x, y):
+            return -1 if (x, y) == (0, 1) else real(self, x, y)
+
+        code, out, _ = run_cli(capsys, "verify", "--vectors", "3,0;0,2;1,1")
+        assert code == 0
+        assert "nonnegative_specializations" not in out
+
+        monkeypatch.setattr(BiPoly, "evaluate", negative_at_0_1)
+        code, out, err = run_cli(capsys, "verify", "--vectors", "3,0;0,2;1,1")
+        assert (code, err) == (1, "")
+        failing = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        assert [c["identity"] for c in failing] == ["nonnegative_specializations"]
+        assert failing[0]["lhs"] == "18, 11, -1"
+
+    def test_a_zero_full_rank_multiplicity_fails_verify(self, capsys, monkeypatch):
+        # m = 0 from the kernel at full rank reaches the summed last step as
+        # its m(L); the step reads its own product of pivots, so the fault
+        # ends in FAIL rows, not in a division by zero or a traceback
+        import zonotutte.tutte_core as tutte_core
+
+        real = tutte_core.lattice_multiplicity
+
+        def zero_at_full_rank(basis):
+            return 0 if basis and len(basis) == len(basis[0]) else real(basis)
+
+        monkeypatch.setattr(tutte_core, "lattice_multiplicity", zero_at_full_rank)
+        for vectors in ("3,0;0,2;1,1", "2,1,0;0,1,-1;1,0,3;-1,2,1;1,1,1"):
+            code, out, err = run_cli(capsys, "verify", "--q-list", "1,2", "--vectors", vectors)
+            assert (code, err) == (1, "")
+
+    @pytest.mark.parametrize("vectors", ["3,0;0,2;1,1", "2,1,0;0,1,-1;1,0,3;-1,2,1;1,1,1"])
+    @pytest.mark.parametrize(
+        "rank_below_n, fault, caught_by",
+        [
+            (0, lambda m: m + 1, "dilation_identity_q2"),
+            (1, lambda m: 2 * m, "ehrhart_theorem_equals_independent_sets"),
+        ],
+    )
+    def test_a_faulty_last_step_fails_verify(
+        self, capsys, monkeypatch, vectors, rank_below_n, fault, caught_by
+    ):
+        # the sum reads (rank, m) of L + Zv for the last vector v off
+        # insert_multiplicity, and stores no lattice for it.  A wrong m
+        # from a full-rank L only reaches sublists larger than n, which
+        # the dilation identity at q = 2 compares; a wrong m from a
+        # rank-(n-1) L reaches the bases, which the k-vector route counts
+        import zonotutte.tutte_core as tutte_core
+
+        real = tutte_core.insert_multiplicity
+
+        def faulty(basis, m, v):
+            r, grown = real(basis, m, v)
+            return r, fault(grown) if len(basis) == len(v) - rank_below_n else grown
+
+        monkeypatch.setattr(tutte_core, "insert_multiplicity", faulty)
+        code, out, err = run_cli(capsys, "verify", "--q-list", "1,2", "--vectors", vectors)
+        assert (code, err) == (1, "")
+        failing = [c["identity"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert caught_by in failing
+
 
 # --pretty renderings and the tutte report's shifted block of the worked
 # list, pinned byte for byte

@@ -20,6 +20,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_assertion_errors_raised():
+    # a failed check is a FAIL row or a documented exit code, so no code
+    # path of the package ends in an AssertionError traceback
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_imports_are_standard_library_or_relative():
     # the package has no runtime dependency: each import is relative, from
     # __future__, or of a standard-library module

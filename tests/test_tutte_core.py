@@ -1,8 +1,8 @@
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonotutte import (
@@ -17,7 +17,7 @@ from zonotutte import (
     multiplicity_tutte,
     rank,
 )
-from zonotutte.tutte_core import _lattice_tables
+from zonotutte.tutte_core import _lattice_tables, _walk_order
 from conftest import NEAR_1E20, random_unimodular_list, spanning_lists
 from tutte_reference import reference_lattice_sum, reference_tutte_sums
 
@@ -198,6 +198,45 @@ class TestAgainstSublistEnumeration:
         rng = random.Random(31)
         for X in [WORKED, UNIT_SQUARE] + [random_unimodular_list(rng, n) for n in (1, 2, 3, 4)]:
             self.check(X)
+
+
+class TestLastStep:
+    """The sum stores no lattice for the last vector it walks.  Lists on
+    which that step is also the first, or meets a repeated vector or one
+    in the span of the others, against the sublist enumeration."""
+
+    check = staticmethod(TestAgainstSublistEnumeration.check)
+
+    def test_one_vector_in_z1(self):
+        for a in (1, -1, 2, -7, 10**20 + 1):
+            self.check(VectorList(1, [(a,)]))
+
+    def test_zero_vectors_in_z0(self):
+        # the empty list is the one list with no last vector
+        for k in range(4):
+            self.check(VectorList(0, [()] * k))
+
+    @settings(max_examples=80, deadline=None)
+    @given(spanning_lists(entries=st.integers(-4, 4), max_size=6, max_dim=3), st.data())
+    def test_last_vector_repeats_or_lies_in_the_span(self, X, data):
+        # X spans, so a vector appended with a nonzero last coordinate is
+        # walked last and lies in the rational span of the others: a repeat,
+        # an integer combination, or the primitive vector on such a line
+        n = X.dim
+        u = data.draw(st.sampled_from([v for v in X.vectors if v[-1]]))
+        kind = data.draw(st.sampled_from(["repeat", "combination", "primitive"]))
+        if kind != "repeat":
+            coefficients = data.draw(
+                st.lists(st.integers(-2, 2), min_size=len(X), max_size=len(X))
+            )
+            u = tuple(u[i] + sum(a * v[i] for a, v in zip(coefficients, X)) for i in range(n))
+            assume(u[-1])
+            if kind == "primitive":
+                g = gcd(*u)
+                u = tuple(x // g for x in u)
+        Y = VectorList(n, [*X, u])
+        assert _walk_order(Y)[-1] == u
+        self.check(Y)
 
 
 @st.composite
