@@ -169,33 +169,31 @@ def _cmd_tutte(X: VectorList, args) -> dict:
 
 
 def _cmd_ehrhart(X: VectorList, args) -> dict:
+    command = args.command
     E = ehrhart_via_independent_sets(X, max_list_size=args.max_subsets)
-    return {
-        "command": "ehrhart",
-        "input": _input_echo(X),
-        "results": {
+    if command == "ehrhart":
+        results = {
             "ehrhart": poly_to_json(E, ("q",)),
             "interior": poly_to_json(interior_polynomial(E), ("q",)),
             "volume": str(E.coefficient(X.dim)),
-        },
-    }
-
-
-def _cmd_scalar(X: VectorList, args) -> dict:
-    command = args.command
-    E = ehrhart_via_independent_sets(X, max_list_size=args.max_subsets)
-    if command == "volume":
-        value = E.coefficient(X.dim)
-        method = "M_X(1,1), the leading Ehrhart coefficient"
+        }
+    elif command == "volume":
+        results = {
+            "value": str(E.coefficient(X.dim)),
+            "via": "M_X(1,1), the leading Ehrhart coefficient",
+        }
     elif command == "count":
-        value = E.evaluate(args.q)
-        method = "q^n M_X(1+1/q, 1); at q=1 this is M_X(2,1)"
+        results = {
+            "value": str(E.evaluate(args.q)),
+            "via": "q^n M_X(1+1/q, 1); at q=1 this is M_X(2,1)",
+            "q": args.q,
+        }
     else:
-        value = interior_polynomial(E).evaluate(args.q)
-        method = "q^n M_X(1-1/q, 1); at q=1 this is M_X(0,1)"
-    results: dict = {"value": str(value), "via": method}
-    if command != "volume":
-        results["q"] = args.q
+        results = {
+            "value": str(interior_polynomial(E).evaluate(args.q)),
+            "via": "q^n M_X(1-1/q, 1); at q=1 this is M_X(0,1)",
+            "q": args.q,
+        }
     return {"command": command, "input": _input_echo(X), "results": results}
 
 
@@ -210,7 +208,7 @@ def _cmd_verify(X: VectorList, args) -> dict:
         from . import geometry_oracle
 
         check_input(X, args.max_subsets)
-        facets = geometry_oracle.zonotope_hrep(X, 1)
+        facets = geometry_oracle.zonotope_hrep(X)
         for q in [*q_list, 1]:
             if q not in counts:
                 counts[q] = geometry_oracle.closed_open_counts(
@@ -218,7 +216,7 @@ def _cmd_verify(X: VectorList, args) -> dict:
                 )
 
     M = multiplicity_tutte(X, max_list_size=args.max_subsets)
-    n = M.ambient_dim
+    n = X.dim
     E_theorem = ehrhart_via_theorem(M)
     E_direct = ehrhart_via_independent_sets(X, max_list_size=args.max_subsets)
     I_poly = interior_polynomial(E_theorem)
@@ -240,7 +238,7 @@ def _cmd_verify(X: VectorList, args) -> dict:
     sides: dict[int, tuple[BiPoly, BiPoly]] = {}
     for q in q_list:
         if q not in sides:
-            sides[q] = dilation_identity_sides(X, q, max_list_size=args.max_subsets, base=M)
+            sides[q] = dilation_identity_sides(M, q)
         record(f"dilation_identity_q{q}", *sides[q])
 
     # E and I are read off M's shifted coefficients; the checks below read
@@ -379,18 +377,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_tutte.set_defaults(handler=_cmd_tutte)
 
-    p_ehrhart = sub.add_parser("ehrhart", help="Ehrhart and interior polynomials")
-    _add_common(p_ehrhart)
-    p_ehrhart.set_defaults(handler=_cmd_ehrhart)
-
     for name, help_text in (
+        ("ehrhart", "Ehrhart and interior polynomials"),
         ("count", "lattice points of the dilated zonotope"),
         ("volume", "volume of the zonotope"),
         ("interior", "interior lattice points of the dilated zonotope"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, with_q=(name != "volume"))
-        p.set_defaults(handler=_cmd_scalar)
+        _add_common(p, with_q=name in ("count", "interior"))
+        p.set_defaults(handler=_cmd_ehrhart)
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     _add_common(p_verify)

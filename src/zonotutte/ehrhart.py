@@ -42,7 +42,7 @@ def ehrhart_via_theorem(M: TutteResult) -> UniPoly:
     coefficient of q^k is the shifted coefficient c_(n-k),0, the sum of
     m(A) over the independent sublists A of size k.
     """
-    n = M.ambient_dim
+    n = M.generators.dim
     return UniPoly([M.shifted_terms.get((n - k, 0), 0) for k in range(n + 1)])
 
 

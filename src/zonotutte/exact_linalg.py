@@ -28,10 +28,10 @@ the rank and multiplicity of L + Zv.  insert_multiplicity reads them off
 one elimination of D v by the rows of L's basis in pivot order, with D
 the product of the pivots, so that every division is exact.  What is
 left of D v decides: nothing, when v lies in the span of L, and then
-m(L + Zv) = m(L) gcd(D, y) / D for the quotients y; one entry w_q, when
-L has rank n - 1 and v lies outside its span, and then m(L + Zv) =
-|w_q|; and below rank n - 1 a rising rank gives no answer, which
-hnf_insert then settles.
+m(L + Zv) = m(L) gcd(D, y) / D for the quotients y; or one entry w_q,
+when L has rank n - 1 and v lies outside its span, and then
+m(L + Zv) = |w_q|.  The sum calls it at ranks n and n - 1 only; a
+lower rank takes hnf_insert.
 
 The kernel functions are called once per lattice state of the Tutte
 sum, so each spends as few Python operations as it can.  At full rank
@@ -210,24 +210,22 @@ def hnf_insert(basis: Lattice, v: Sequence[int]) -> Lattice:
     return tuple(map(tuple, rows))
 
 
-def insert_multiplicity(basis: Lattice, m: int, v: Sequence[int]) -> tuple[int, int] | None:
+def insert_multiplicity(basis: Lattice, m: int, v: Sequence[int]) -> tuple[int, int]:
     """(rank, multiplicity) of the lattice spanned by basis and v, from one
-    scaled elimination and without its basis; None when v raises the rank
-    from r <= n - 2.
+    scaled elimination and without its basis.
 
-    basis is canonical (see hnf_insert) with r rows, pivots p_k and
-    m = lattice_multiplicity(basis).  With D the product of the pivots,
-    D * Z^r lies in the row lattice of the pivot block, so eliminating
-    w = D * v row by row in pivot order divides exactly: y_k = w[p_k] //
-    basis[k][p_k], w -= y_k * basis[k].  Then D * v = y . basis + w, with
-    w zero on every pivot column.
+    basis is canonical (see hnf_insert) with r = n or r = n - 1 rows,
+    pivots p_k and m = lattice_multiplicity(basis).  With D the product
+    of the pivots, D * Z^r lies in the row lattice of the pivot block, so
+    eliminating w = D * v row by row in pivot order divides exactly:
+    y_k = w[p_k] // basis[k][p_k], w -= y_k * basis[k].  Then
+    D * v = y . basis + w, with w zero on every pivot column.
       * w = 0: v is in the rational span, L + Zv / L is cyclic of order
         D / gcd(D, y), and the multiplicity is m * gcd(D, y) / D (at
         r = n, where m = D, that is gcd(D, y)).
-      * w != 0 at r = n - 1: w is zero but at the one column q without a
-        pivot, and the index of L + Zv in Z^n is |det[basis; v]| = |w_q|,
-        since det[basis; w] = D * det[basis; v] = +-w_q * D.
-      * w != 0 at r <= n - 2: no answer; hnf_insert gives the lattice.
+      * w != 0, so r = n - 1: w is zero but at the one column q without
+        a pivot, and the index of L + Zv in Z^n is |det[basis; v]| =
+        |w_q|, since det[basis; w] = D * det[basis; v] = +-w_q * D.
     """
     n = len(v)
     r = len(basis)
@@ -240,11 +238,9 @@ def insert_multiplicity(basis: Lattice, m: int, v: Sequence[int]) -> tuple[int, 
         if y:
             g = math.gcd(g, y)
             w = [x - y * z for x, z in zip(w, row)]
-    if not any(w):
-        return r, m * g // d
-    if r == n - 1:
+    if any(w):
         return n, abs(sum(w))
-    return None
+    return r, m * g // d
 
 
 def lattice_multiplicity(basis: Lattice) -> int:

@@ -151,19 +151,19 @@ def _normals(vectors: Sequence[Sequence[int]], n: int) -> set[tuple[int, ...]]:
     return normals
 
 
-def zonotope_hrep(X: VectorList, q: int) -> HRep:
-    """Facet description of the q-fold dilated zonotope of X.
+def zonotope_hrep(X: VectorList) -> HRep:
+    """Facet description of the zonotope of X.
 
     Every facet of a full-dimensional zonotope is parallel to a hyperplane
     spanned by n - 1 of its generators, and each such hyperplane carries
     two opposite facets (Shephard 1974, McMullen 1971).  _normals gives
     a primitive normal c of each such hyperplane; c and -c are both kept,
-    and the facet on the side of c has offset q * sum_i max(0, c . x_i).
-    The oracle stops at dimension MAX_BRUTE_FORCE_DIM (CapExceeded), before
-    the C(|X|, n - 1) subsets are visited.
+    and the facet on the side of c has offset sum_i max(0, c . x_i).  The
+    facets of q Z(X) are the same rows with every offset times q
+    (closed_open_counts).  The oracle stops at dimension
+    MAX_BRUTE_FORCE_DIM (CapExceeded), before the C(|X|, n - 1) subsets
+    are visited.
     """
-    if q < 1:
-        raise ValueError(f"dilation factor must be >= 1, got {q}")
     n = X.dim
     exact_linalg.check_full_rank(X)
     if n > MAX_BRUTE_FORCE_DIM:
@@ -175,7 +175,7 @@ def zonotope_hrep(X: VectorList, q: int) -> HRep:
     normals |= {tuple(-x for x in c) for c in normals}
 
     inequalities = sorted(
-        (c, q * sum(max(0, sum(a * x for a, x in zip(c, v))) for v in X.vectors))
+        (c, sum(max(0, sum(a * x for a, x in zip(c, v))) for v in X.vectors))
         for c in normals
     )
     return HRep(dim=n, inequalities=tuple(inequalities))
@@ -371,13 +371,14 @@ def closed_open_counts(
     drops each end whose bound is an integer.  max_box caps the box's
     lines (its points over its longest side) times the facet rows, an
     upper bound on the walk's work.  base, when given, must be
-    zonotope_hrep(X, 1): the facets of q Z(X) are its rows with every
-    offset times q, so several q share one facet enumeration.
+    zonotope_hrep(X), the facets of Z(X); the facets of q Z(X) are its
+    rows with every offset times q, so several q share one facet
+    enumeration.
     """
     if q < 1:
         raise ValueError(f"dilation factor must be >= 1, got {q}")
     if base is None:
-        base = zonotope_hrep(X, 1)
+        base = zonotope_hrep(X)
     if not X.dim:
         return 1, 1  # Z^0 is one point, its own relative interior
     ranges = _box_ranges(X, q)
@@ -436,9 +437,7 @@ def _solutions_single(vector: tuple[int, ...], target: Sequence[int]) -> int:
     return 1 if all(x * c == t for c, t in zip(vector, target)) else 0
 
 
-def partition_function(
-    X: VectorList, target: Sequence[int], *, max_nodes: int = MAX_PARTITION_NODES
-) -> int:
+def partition_function(X: VectorList, target: Sequence[int]) -> int:
     """Number of ways to write the target as a nonnegative integer
     combination of the list vectors.
 
@@ -446,7 +445,7 @@ def partition_function(
     vector; the search is a depth-first enumeration pruned by the integer
     bound x_a <= (c . target) // (c . a) for the integer functional c of
     find_positive_functional.  Target entries must be integers.  A search
-    that visits more than max_nodes nodes raises CapExceeded.
+    that visits more than MAX_PARTITION_NODES nodes raises CapExceeded.
     """
     lam = tuple(exact_linalg._check_int(t) for t in target)
     if len(lam) != X.dim:
@@ -466,8 +465,8 @@ def partition_function(
     def search(remaining: tuple[int, ...], budget: int, idx: int) -> int:
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
-            raise CapExceeded(f"partition search passed {max_nodes} nodes")
+        if nodes > MAX_PARTITION_NODES:
+            raise CapExceeded(f"partition search passed {MAX_PARTITION_NODES} nodes")
         if idx == last:
             return _solutions_single(vectors[idx], remaining)
         w = weights[idx]

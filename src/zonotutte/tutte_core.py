@@ -81,28 +81,26 @@ class TutteResult:
 
     polynomial is the monomial-basis form; shifted_terms maps (i, j) to
     the coefficient of (x-1)^i (y-1)^j and is the exact accumulator of
-    the defining sum (all entries nonnegative for the weighted variant).
+    the defining sum (all entries nonnegative for the weighted variant);
+    generators is the list X it was summed from, whose dim is n.
     """
 
-    __slots__ = ("polynomial", "shifted_terms", "ambient_dim", "list_size", "is_unimodular")
+    __slots__ = ("polynomial", "shifted_terms", "generators", "is_unimodular")
     polynomial: BiPoly
     shifted_terms: dict[tuple[int, int], int]
-    ambient_dim: int
-    list_size: int
+    generators: VectorList
     is_unimodular: bool
 
     def __init__(
         self,
         polynomial: BiPoly,
         shifted_terms: dict[tuple[int, int], int],
-        ambient_dim: int,
-        list_size: int,
+        generators: VectorList,
         is_unimodular: bool,
     ):
         self.polynomial = polynomial
         self.shifted_terms = shifted_terms
-        self.ambient_dim = ambient_dim
-        self.list_size = list_size
+        self.generators = generators
         self.is_unimodular = is_unimodular
 
 
@@ -125,12 +123,12 @@ def _walk_order(X: VectorList) -> list[tuple[int, ...]]:
 
 
 def _lattice_tables(
-    X: VectorList, vectors: Sequence[tuple[int, ...]] | None = None
+    X: VectorList, vectors: Sequence[tuple[int, ...]]
 ) -> tuple[dict[Lattice, int], dict[CyclicKey, int]]:
-    """The states of the sum after walking vectors, by default all of X
-    in walk order: every lattice spanned by a sublist of them, with its
-    packed counts, keyed by cyclic_key where it has one (second table)
-    and by its Hermite basis otherwise (first table)."""
+    """The states of the sum after walking vectors, a sequence drawn from
+    X: every lattice spanned by a sublist of them, with its packed counts,
+    keyed by cyclic_key where it has one (second table) and by its Hermite
+    basis otherwise (first table)."""
     n = X.dim
     # counts[L] holds, for each size s, the number of sublists of size s
     # spanning L, packed into bits [s*width, (s+1)*width) of one integer.
@@ -139,7 +137,7 @@ def _lattice_tables(
     width = len(X) + 1
     counts: dict[Lattice, int] = {(): 1}
     cyclic: dict[CyclicKey, int] = {}
-    for v in _walk_order(X) if vectors is None else vectors:
+    for v in vectors:
         # a skipped vector leaves every state where it is; the snapshots
         # keep the counts from before v, which are the ones v extends
         cyclic_items = list(cyclic.items())
@@ -226,8 +224,7 @@ def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult
     return TutteResult(
         polynomial=expand_shifted_basis(shifted),
         shifted_terms=shifted,
-        ambient_dim=n,
-        list_size=len(X),
+        generators=X,
         is_unimodular=unimodular,
     )
 
@@ -249,33 +246,25 @@ def dilate_list(X: VectorList, q: int) -> VectorList:
     return VectorList(X.dim, [tuple(q * x for x in v) for v in X.vectors])
 
 
-def dilation_identity_sides(
-    X: VectorList,
-    q: int,
-    *,
-    max_list_size: int = MAX_LIST_SIZE,
-    base: TutteResult | None = None,
-) -> tuple[BiPoly, BiPoly]:
-    """Both sides of the dilation identity, computed independently.
+def dilation_identity_sides(M: TutteResult, q: int) -> tuple[BiPoly, BiPoly]:
+    """Both sides of the dilation identity for M = multiplicity_tutte(X),
+    computed independently.
 
     The left side is the weighted polynomial of qX from scratch; at q = 1
-    that is base itself, the same sum on the same list.  The right side is
+    that is M itself, the same sum on the same list.  X passed the list
+    cap when M was built, and qX is as long.  The right side is
     q^n M_X(1 + (x-1)/q, y), expanded from the monomial form sum a_ab x^a
     y^b of M_X as sum a_ab q^(n-a) (x+q-1)^a y^b, so it does not pass
-    through the shifted-basis expansion that built the left side.  base,
-    when given, must be multiplicity_tutte(X); it saves recomputing the
-    right side's source when several q are checked.
+    through the shifted-basis expansion that built the left side.
     """
-    dilated = dilate_list(X, q)
-    if base is None:
-        base = multiplicity_tutte(X, max_list_size=max_list_size)
+    X = M.generators
     if q == 1:
-        lhs = base.polynomial
+        lhs = M.polynomial
     else:
-        lhs = multiplicity_tutte(dilated, max_list_size=max_list_size).polynomial
-    n = base.ambient_dim
+        lhs = multiplicity_tutte(dilate_list(X, q), max_list_size=len(X)).polynomial
+    n = X.dim
     rhs: dict[tuple[int, int], int] = {}
-    for (a, b), c in base.polynomial.sorted_terms():
+    for (a, b), c in M.polynomial.sorted_terms():
         scaled = c * q ** (n - a)
         for k in range(a + 1):
             rhs[(k, b)] = rhs.get((k, b), 0) + scaled * comb(a, k) * (q - 1) ** (a - k)

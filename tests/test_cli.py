@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -261,9 +263,9 @@ class TestVerifyCommand:
             calls["oracle"].append(q)
             return real_counts(X, q, **kw)
 
-        def counting_hrep(X, q):
+        def counting_hrep(X):
             calls["facets"] += 1
-            return real_hrep(X, q)
+            return real_hrep(X)
 
         monkeypatch.setattr(cli, "multiplicity_tutte", counting_tutte)
         monkeypatch.setattr(tutte_core, "multiplicity_tutte", counting_tutte)
@@ -292,6 +294,125 @@ class TestVerifyCommand:
             assert calls["oracle"] == oracle_calls
             # the facets are enumerated once, at q = 1, for every q
             assert calls["facets"] == 1
+
+
+FAULT_LISTS = ("3,0;0,2;1,1", "2,1,0;0,1,-1;1,0,3;-1,2,1;1,1,1", "1,0;0,1;1,1;1,-1;2,1")
+ORACLE_ROWS = [
+    "closed_count_q1",
+    "interior_count_q1",
+    "closed_count_q2",
+    "interior_count_q2",
+    "corollary_points",
+    "corollary_interior_points",
+]
+
+
+def _unsigned_x(real):
+    # (x+1)^i in place of (x-1)^i: expand with x negated, terms signed back
+    def expand(terms):
+        P = real({(i, j): (-1) ** i * c for (i, j), c in terms.items()})
+        return zonotutte.BiPoly({(a, b): (-1) ** a * c for (a, b), c in P.sorted_terms()})
+
+    return expand
+
+
+def _unreduced(real):
+    # the grown key (g, c mod g) keeps c as it was
+    def insert(key, v):
+        grown = real(key, v)
+        return grown if grown is key else (grown[0], key[1])
+
+    return insert
+
+
+def _closed_plus_one(real):
+    def walk(rows, ranges):
+        closed, opened = real(rows, ranges)
+        return closed + 1, opened
+
+    return walk
+
+
+def _plus_one_at_full_rank(real):
+    def insert(basis, m, v):
+        r, grown = real(basis, m, v)
+        return r, grown + (len(basis) == len(v))
+
+    return insert
+
+
+# (patched name, fault built from the real one, FAIL rows without --oracle,
+# FAIL rows with it); the three lists give the same rows
+VERIFY_FAULTS = [
+    pytest.param(
+        "tutte_core.lattice_multiplicity",
+        lambda real: lambda basis: real(basis) + (len(basis) == 1),
+        ["ehrhart_theorem_equals_independent_sets", "dilation_identity_q2"],
+        ["ehrhart_theorem_equals_independent_sets", "dilation_identity_q2", *ORACLE_ROWS],
+        id="m_plus_1_at_rank_1",
+    ),
+    pytest.param(
+        "tutte_core.insert_multiplicity",
+        _plus_one_at_full_rank,
+        ["dilation_identity_q2"],
+        ["dilation_identity_q2"],
+        id="m_plus_1_at_full_rank_in_the_last_step",
+    ),
+    pytest.param(
+        "tutte_core.expand_shifted_basis",
+        _unsigned_x,
+        ["dilation_identity_q2", "interior_specialization", "coefficient_reversal", "volume_identity"],
+        [
+            "dilation_identity_q2",
+            "interior_specialization",
+            "coefficient_reversal",
+            "volume_identity",
+            "corollary_points",
+            "corollary_interior_points",
+        ],
+        id="expansion_without_the_x_sign",
+    ),
+    pytest.param(
+        "ehrhart.gcd",
+        lambda real: lambda *args: 1,
+        ["ehrhart_theorem_equals_independent_sets"],
+        ["ehrhart_theorem_equals_independent_sets"],
+        id="k_vector_gcd_is_1",
+    ),
+    pytest.param(
+        "polynomials.BiPoly.specialize_y",
+        lambda real: lambda self, y: real(self, y + 1),
+        ["interior_specialization", "coefficient_reversal"],
+        ["interior_specialization", "coefficient_reversal"],
+        id="specialize_y_reads_y_plus_1",
+    ),
+    # without --oracle no row evaluates E(2) a second way, so this fault
+    # passes verify (ROADMAP item 8, second readings at each q)
+    pytest.param(
+        "polynomials.UniPoly.evaluate",
+        lambda real: lambda self, t: real(self, t) + (t == 2),
+        [],
+        ["closed_count_q2", "interior_count_q2"],
+        id="evaluate_plus_1_at_2",
+    ),
+    pytest.param(
+        "geometry_oracle._closed_open_walk",
+        _closed_plus_one,
+        [],
+        ["closed_count_q1", "closed_count_q2", "corollary_points"],
+        id="oracle_closed_plus_1",
+    ),
+    # harmless: two keys for one lattice, which costs states only
+    pytest.param("tutte_core.cyclic_insert", _unreduced, [], [], id="cyclic_c_unreduced"),
+    # harmless: the sum does not depend on the order of the walk
+    pytest.param(
+        "tutte_core._walk_order",
+        lambda real: lambda X: real(X)[::-1],
+        [],
+        [],
+        id="reversed_walk_order",
+    ),
+]
 
 
 class TestVerifyFailurePath:
@@ -457,6 +578,26 @@ class TestVerifyFailurePath:
         assert (code, err) == (1, "")
         failing = [c["identity"] for c in json.loads(out)["checks"] if not c["pass"]]
         assert caught_by in failing
+
+    @pytest.mark.parametrize("target, make_fault, plain, oracle", VERIFY_FAULTS)
+    def test_fault_matrix(self, capsys, monkeypatch, target, make_fault, plain, oracle):
+        # each fault, patched into the package, gives the same FAIL rows on
+        # every list, and a fault no row names leaves verify passing
+        module, *path, name = target.split(".")
+        owner = importlib.import_module(f"zonotutte.{module}")
+        for part in path:
+            owner = getattr(owner, part)
+        monkeypatch.setattr(owner, name, make_fault(getattr(owner, name)))
+        for vectors in FAULT_LISTS:
+            for flags, expected in (((), plain), (("--oracle",), oracle)):
+                code, out, err = run_cli(
+                    capsys, "verify", "--q-list", "1,2", "--vectors", vectors, *flags
+                )
+                failing = [c["identity"] for c in json.loads(out)["checks"] if not c["pass"]]
+                assert (code, err, failing) == (int(bool(expected)), "", expected), (
+                    vectors,
+                    flags,
+                )
 
 
 # --pretty renderings and the tutte report's shifted block of the worked
@@ -723,6 +864,58 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["value"] == "11"
+
+    def test_other_interpreters_print_the_same_bytes(self):
+        # pyproject declares Python >= 3.10; every interpreter from 3.10 up
+        # that is on PATH and starts prints what this one prints
+        others = []
+        for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
+            path = shutil.which(name)
+            if path is None:
+                continue
+            try:
+                probe = subprocess.run(
+                    [path, "-c", "import sys; print(sys.version)"],
+                    capture_output=True,
+                    text=True,
+                    timeout=30,
+                )
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            if probe.returncode == 0 and probe.stdout.strip() != sys.version:
+                others.append(path)
+        if not others:
+            pytest.skip("no other Python 3.10+ interpreter starts")
+        big = "9" * 2500
+        calls = [
+            *(
+                [*argv, "--vectors", "3,0;0,2;1,1"]
+                for argv in (
+                    ["tutte"],
+                    ["tutte", "--classical"],
+                    ["ehrhart"],
+                    ["count", "--q", "2"],
+                    ["volume"],
+                    ["interior", "--q", "2"],
+                    ["verify", "--q-list", "1,2,3"],
+                    ["verify", "--oracle", "--q-list", "1,2,3"],
+                )
+            ),
+            ["volume", "--vectors", f"{big},0;0,{big}"],
+        ]
+        for argv in calls:
+            runs = [
+                subprocess.run(
+                    [python, "-m", "zonotutte", *argv],
+                    capture_output=True,
+                    env=child_env(),
+                    timeout=120,
+                )
+                for python in (sys.executable, *others)
+            ]
+            assert runs[0].returncode == 0, argv
+            for python, proc in zip(others, runs[1:]):
+                assert (proc.returncode, proc.stdout) == (0, runs[0].stdout), (python, argv)
 
     def test_stdin_that_is_not_utf8_is_malformed(self):
         # a strict stdin decoder would raise before json.loads saw the input

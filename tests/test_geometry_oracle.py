@@ -23,6 +23,7 @@ from zonotutte import (
     rank,
     zonotope_hrep,
 )
+from zonotutte import geometry_oracle
 from zonotutte.geometry_oracle import _box_ranges, _closed_open_walk
 
 from conftest import NEAR_1E20, random_full_rank_list
@@ -116,6 +117,13 @@ def walk_cases(draw):
     return X, q
 
 
+def dilated_hrep(X, q):
+    """The facets of q Z(X): the rows of zonotope_hrep(X), each offset
+    times q, the scaling closed_open_counts applies."""
+    H = zonotope_hrep(X)
+    return HRep(dim=H.dim, inequalities=tuple((c, q * d) for c, d in H.inequalities))
+
+
 def points_of(H, ranges):
     return {
         p: classify_point(H, p)
@@ -127,17 +135,17 @@ class TestZonotopeHrep:
     def test_equal_polytopes_compare_equal(self):
         # the rows are primitive and sorted, so the order and the choice of
         # generators do not show
-        H = zonotope_hrep(WORKED, 2)
-        assert H == zonotope_hrep(VectorList(2, reversed(WORKED.vectors)), 2)
-        assert H == zonotope_hrep(VectorList(2, [(6, 0), (0, 4), (2, 2)]), 1)
+        H = zonotope_hrep(VectorList(2, [(6, 0), (0, 4), (2, 2)]))
+        assert H == zonotope_hrep(VectorList(2, [(2, 2), (0, 4), (6, 0)]))
+        assert H == dilated_hrep(VectorList(2, reversed(WORKED.vectors)), 2)
         assert hash(H) == hash(HRep(dim=2, inequalities=H.inequalities))
-        assert H != zonotope_hrep(WORKED, 1)
+        assert H != zonotope_hrep(WORKED)
         assert H != HRep(dim=3, inequalities=H.inequalities)
         assert H != H.inequalities
         assert repr(H).startswith("HRep(dim=2, inequalities=(((-1, 0), 0), ((-1, 1), 4), ")
 
     def test_unit_square(self):
-        H = zonotope_hrep(UNIT_SQUARE, 1)
+        H = zonotope_hrep(UNIT_SQUARE)
         assert set(H.inequalities) == {
             ((-1, 0), 0),
             ((0, -1), 0),
@@ -146,11 +154,11 @@ class TestZonotopeHrep:
         }
 
     def test_segment(self):
-        H = zonotope_hrep(VectorList(1, [(2,)]), 3)
+        H = dilated_hrep(VectorList(1, [(2,)]), 3)
         assert set(H.inequalities) == {((-1,), 0), ((1,), 6)}
 
     def test_worked_example_contains_all_generator_sums(self):
-        H = zonotope_hrep(WORKED, 1)
+        H = zonotope_hrep(WORKED)
         for mask in range(8):
             vertex = [0, 0]
             for b in range(3):
@@ -160,7 +168,7 @@ class TestZonotopeHrep:
 
     def test_every_inequality_is_tight_somewhere(self):
         # facet description: each row is attained by some 0/1 generator sum
-        H = zonotope_hrep(WORKED, 1)
+        H = zonotope_hrep(WORKED)
         for normal, rhs in H.inequalities:
             best = max(
                 sum(n * v for n, v in zip(normal, vertex))
@@ -176,19 +184,19 @@ class TestZonotopeHrep:
 
     def test_rejects_rank_deficient(self):
         with pytest.raises(DimensionDeficient):
-            zonotope_hrep(VectorList(2, [(1, 0)]), 1)
+            zonotope_hrep(VectorList(2, [(1, 0)]))
 
     @settings(max_examples=40, deadline=None)
     @given(dilated_lists())
     def test_matches_fourier_motzkin_reference(self, case):
         X, q = case
-        assert zonotope_hrep(X, q) == reference_hrep(X, q)
+        assert dilated_hrep(X, q) == reference_hrep(X, q)
 
     @settings(max_examples=8, deadline=None)
     @given(dilated_lists(entries=NEAR_1E20))
     def test_matches_reference_near_1e20(self, case):
         X, q = case
-        assert zonotope_hrep(X, q) == reference_hrep(X, q)
+        assert dilated_hrep(X, q) == reference_hrep(X, q)
 
     @settings(max_examples=40, deadline=None)
     @given(dilated_lists(entries=st.integers(-5, 5)))
@@ -196,7 +204,7 @@ class TestZonotopeHrep:
         # p -> q * sum(X) - p maps q Z(X) onto itself, so it swaps each
         # facet c . p <= d with its opposite -c . p <= d - q * sum_i c . x_i
         X, q = case
-        rows = set(zonotope_hrep(X, q).inequalities)
+        rows = set(dilated_hrep(X, q).inequalities)
         total = [q * sum(column) for column in zip(*X.vectors)]
         for c, d in rows:
             mirror = (tuple(-a for a in c), d - sum(a * t for a, t in zip(c, total)))
@@ -204,8 +212,8 @@ class TestZonotopeHrep:
 
     def test_dilation_scales_hrep(self, small_corpus):
         for X in small_corpus[:8]:
-            H1 = zonotope_hrep(X, 1)
-            H3 = zonotope_hrep(X, 3)
+            H1 = zonotope_hrep(X)
+            H3 = zonotope_hrep(dilate_list(X, 3))
             scaled = tuple(
                 sorted((normal, 3 * rhs) for normal, rhs in H1.inequalities)
             )
@@ -214,21 +222,21 @@ class TestZonotopeHrep:
 
 class TestClassifyPoint:
     def test_unit_square_corners_and_outside(self):
-        H = zonotope_hrep(UNIT_SQUARE, 1)
+        H = zonotope_hrep(UNIT_SQUARE)
         assert classify_point(H, (0, 0)) is PointClass.BOUNDARY
         assert classify_point(H, (2, 2)) is PointClass.OUTSIDE
 
     def test_interior_point(self):
-        H = zonotope_hrep(UNIT_SQUARE, 2)
+        H = dilated_hrep(UNIT_SQUARE, 2)
         assert classify_point(H, (1, 1)) is PointClass.INTERIOR
 
     def test_worked_example_interior_count(self):
-        H = zonotope_hrep(WORKED, 1)
+        H = zonotope_hrep(WORKED)
         classes = points_of(H, _box_ranges(WORKED, 1))
         assert sum(1 for c in classes.values() if c is PointClass.INTERIOR) == 6
 
     def test_redundant_inequalities_do_not_reclassify(self):
-        H = zonotope_hrep(WORKED, 1)
+        H = zonotope_hrep(WORKED)
         # a valid but slack inequality, then a valid tight one
         padded = HRep(
             dim=2,
@@ -328,9 +336,9 @@ class TestBruteForceCount:
         # the per-slab envelopes against the walk that takes every facet row
         # on every line, on the same rows and box
         X, q = case
-        rows, ranges = zonotope_hrep(X, q).inequalities, _box_ranges(X, q)
+        rows, ranges = dilated_hrep(X, q).inequalities, _box_ranges(X, q)
         assert _closed_open_walk(rows, ranges) == reference_line_walk(rows, ranges)
-        assert closed_open_counts(X, q, base=zonotope_hrep(X, 1)) == closed_open_counts(X, q)
+        assert closed_open_counts(X, q, base=zonotope_hrep(X)) == closed_open_counts(X, q)
 
     def test_dilation_compatibility(self, small_corpus):
         for X in small_corpus[:8]:
@@ -496,14 +504,15 @@ class TestPartitionFunction:
             with pytest.raises(TypeError):
                 partition_function(X, target)
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
         # x (1,0) + y (0,1) + z (1,1) + w (1,2) = (20, 20) has 121 solutions:
         # z + 2w <= 20 fixes x and y, so w in 0..10 and z in 0..20-2w
         X = VectorList(2, [(1, 0), (0, 1), (1, 1), (1, 2)])
         assert partition_function(X, (20, 20)) == 121
-        with pytest.raises(CapExceeded, match="passed 100 nodes"):
-            partition_function(X, (20, 20), max_nodes=100)
-        # the cap counts the search's nodes, which grow with the target
-        assert partition_function(X, (2, 2), max_nodes=100) == 4
         with pytest.raises(CapExceeded):
             partition_function(X, (300, 300))
+        monkeypatch.setattr(geometry_oracle, "MAX_PARTITION_NODES", 100)
+        with pytest.raises(CapExceeded, match="passed 100 nodes"):
+            partition_function(X, (20, 20))
+        # the cap counts the search's nodes, which grow with the target
+        assert partition_function(X, (2, 2)) == 4

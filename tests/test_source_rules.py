@@ -181,3 +181,46 @@ def test_the_two_ehrhart_routes_stay_apart():
     imports = _relative_imports("ehrhart")
     assert imports.get("exact_linalg", set()) <= {"VectorList"}
     assert imports.get("tutte_core", set()) <= {"MAX_LIST_SIZE", "TutteResult", "check_input"}
+
+
+# defaults no call in src passes, each with the reason it stays
+DEFAULTS_WITHOUT_A_CALLER = {
+    # cli._cmd_tutte calls it through the name compute, with max_list_size
+    ("classical_tutte", "max_list_size"),
+    # the entry point: run() passes no argv, and tests and the benchmark do
+    ("main", "argv"),
+}
+
+
+def test_every_default_has_a_caller():
+    # a defaulted parameter of a module-level function that no call in the
+    # package sets is an option with one value; it becomes a constant.  A
+    # call sets it by keyword or by position, and names its callee by an
+    # ast.Name id or an ast.Attribute attr
+    defaults = {}  # (function, parameter): its position, None if keyword-only
+    passed = set()  # (callee, parameter name or position)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i, a in enumerate(positional[first:], first):
+                    defaults[node.name, a.arg] = i
+                for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        defaults[node.name, a.arg] = None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed.update((callee, k.arg) for k in node.keywords)
+                passed.update((callee, i) for i in range(len(node.args)))
+    assert DEFAULTS_WITHOUT_A_CALLER <= defaults.keys()
+    found = [
+        f"{function}.{name}"
+        for (function, name), i in defaults.items()
+        if not {(function, name), (function, i)} & passed
+        and (function, name) not in DEFAULTS_WITHOUT_A_CALLER
+    ]
+    assert found == []

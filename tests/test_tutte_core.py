@@ -30,8 +30,8 @@ class TestMultiplicityTutte:
         M = multiplicity_tutte(WORKED)
         assert M.polynomial == BiPoly({(2, 0): 1, (1, 0): 4, (0, 1): 1, (0, 0): 5})
         assert M.shifted_terms == {(2, 0): 1, (1, 0): 6, (0, 0): 11, (0, 1): 1}
-        assert M.ambient_dim == 2
-        assert M.list_size == 3
+        assert M.generators is WORKED
+        assert M.generators.dim == 2
         assert not M.is_unimodular
 
     def test_unit_square(self):
@@ -147,27 +147,30 @@ class TestDilateList:
 
 class TestDilationIdentity:
     def test_worked_example(self):
-        lhs, rhs = dilation_identity_sides(WORKED, 2)
+        lhs, rhs = dilation_identity_sides(multiplicity_tutte(WORKED), 2)
         assert lhs == rhs
 
     def test_q_one_is_trivially_true(self, small_corpus):
         for X in small_corpus[:6]:
-            lhs, rhs = dilation_identity_sides(X, 1)
+            M = multiplicity_tutte(X)
+            lhs, rhs = dilation_identity_sides(M, 1)
             assert lhs == rhs
+            assert lhs is M.polynomial
 
     def test_unit_square_tripled(self):
-        lhs, rhs = dilation_identity_sides(UNIT_SQUARE, 3)
+        lhs, rhs = dilation_identity_sides(multiplicity_tutte(UNIT_SQUARE), 3)
         assert lhs == rhs == BiPoly({(2, 0): 1, (1, 0): 4, (0, 0): 4})  # (x+2)^2
 
     def test_random_corpus(self, small_corpus):
         for X in small_corpus[:10]:
+            M = multiplicity_tutte(X)
             for q in (2, 3, 5):
-                lhs, rhs = dilation_identity_sides(X, q)
+                lhs, rhs = dilation_identity_sides(M, q)
                 assert lhs == rhs
 
     def test_rejects_q_below_one(self):
         with pytest.raises(ValueError):
-            dilation_identity_sides(WORKED, 0)
+            dilation_identity_sides(multiplicity_tutte(WORKED), 0)
 
 
 class TestAgainstSublistEnumeration:
@@ -259,7 +262,7 @@ def test_two_tables_match_the_single_table_reference(X):
         shifted, unimodular, states = reference_lattice_sum(X, weighted)
         assert result.shifted_terms == shifted
         assert result.is_unimodular == unimodular
-    hermite, cyclic = _lattice_tables(X)
+    hermite, cyclic = _lattice_tables(X, _walk_order(X))
     assert len(hermite) + len(cyclic) == states
 
 
