@@ -12,10 +12,11 @@ lattice is represented by its canonical row Hermite normal form
 (hnf_insert, span), so two lists span the same lattice exactly when their
 keys are equal; rank is the number of rows of that key, and
 lattice_multiplicity reads m(A) off it (by unimodular column steps, or
-at rank n - 1 as the gcd of the hyperplane's normal); rank stops
-inserting once the key has full rank.  No determinant is taken here:
-the geometric oracle computes its own minors, and the independent-set
-Ehrhart sum (ehrhart module) uses none of this.
+at rank n - 1 as the gcd of hyperplane_normal, the signed maximal
+minors); rank stops inserting once the key has full rank.  No
+determinant is taken here: the geometric oracle computes its own
+minors, and the independent-set Ehrhart sum (ehrhart module) uses none
+of this.
 
 A full-rank lattice whose key has at most one pivot != 1 is cyclic: it
 is { x : c . x = 0 mod m }, with m its index.  cyclic_key reads the pair
@@ -23,15 +24,11 @@ is { x : c . x = 0 mod m }, with m its index.  cyclic_key reads the pair
 one dot product and one gcd, no elimination; the Tutte sum keys those
 lattices by the pair.
 
-The Tutte sum stores no lattice for the last vector v it walks, only
-the rank and multiplicity of L + Zv.  insert_multiplicity reads them off
-one elimination of D v by the rows of L's basis in pivot order, with D
-the product of the pivots, so that every division is exact.  What is
-left of D v decides: nothing, when v lies in the span of L, and then
-m(L + Zv) = m(L) gcd(D, y) / D for the quotients y; or one entry w_q,
-when L has rank n - 1 and v lies outside its span, and then
-m(L + Zv) = |w_q|.  The sum calls it at ranks n and n - 1 only; a
-lower rank takes hnf_insert.
+The Tutte sum stores no lattice for the last vector v it walks.  At
+full rank, insert_multiplicity reads m(L + Zv) = gcd(D, y) off one
+exact elimination D v = y . L, with D the product of the pivots; at
+rank n - 1, with v outside the span, m(L + Zv) = |z . v| for
+z = hyperplane_normal(L).
 
 The kernel functions are called once per lattice state of the Tutte
 sum, so each spends as few Python operations as it can.  At full rank
@@ -210,37 +207,43 @@ def hnf_insert(basis: Lattice, v: Sequence[int]) -> Lattice:
     return tuple(map(tuple, rows))
 
 
-def insert_multiplicity(basis: Lattice, m: int, v: Sequence[int]) -> tuple[int, int]:
-    """(rank, multiplicity) of the lattice spanned by basis and v, from one
-    scaled elimination and without its basis.
+def insert_multiplicity(basis: Lattice, m: int, v: Sequence[int]) -> int:
+    """Multiplicity of L + Zv, for L with a full-rank canonical basis (see
+    hnf_insert) and m = D, the product of its diagonal, from one scaled
+    elimination and without a basis of L + Zv.
 
-    basis is canonical (see hnf_insert) with r = n or r = n - 1 rows,
-    pivots p_k and m = lattice_multiplicity(basis).  With D the product
-    of the pivots, D * Z^r lies in the row lattice of the pivot block, so
-    eliminating w = D * v row by row in pivot order divides exactly:
-    y_k = w[p_k] // basis[k][p_k], w -= y_k * basis[k].  Then
-    D * v = y . basis + w, with w zero on every pivot column.
-      * w = 0: v is in the rational span, L + Zv / L is cyclic of order
-        D / gcd(D, y), and the multiplicity is m * gcd(D, y) / D (at
-        r = n, where m = D, that is gcd(D, y)).
-      * w != 0, so r = n - 1: w is zero but at the one column q without
-        a pivot, and the index of L + Zv in Z^n is |det[basis; v]| =
-        |w_q|, since det[basis; w] = D * det[basis; v] = +-w_q * D.
+    D * Z^n lies in L, so eliminating w = D * v row by row divides
+    exactly: y_k = w[k] // basis[k][k], w -= y_k * basis[k], until
+    D * v = y . basis.  L + Zv / L is then cyclic of order D / gcd(D, y),
+    so the index of L + Zv in Z^n is gcd(D, y).
     """
-    n = len(v)
-    r = len(basis)
-    pivots = range(n) if r == n else _pivots(basis)
-    d = math.prod(row[p] for row, p in zip(basis, pivots))
-    w = [d * x for x in v]
-    g = d
-    for row, p in zip(basis, pivots):
-        y = w[p] // row[p]
-        if y:
+    w = [m * x for x in v]
+    g = m
+    for k, row in enumerate(basis):
+        if y := w[k] // row[k]:
             g = math.gcd(g, y)
             w = [x - y * z for x, z in zip(w, row)]
-    if any(w):
-        return n, abs(sum(w))
-    return r, m * g // d
+    return g
+
+
+def hyperplane_normal(basis: Lattice, n: int) -> list[int]:
+    """The normal z of the hyperplane spanned by a canonical basis (see
+    hnf_insert) of rank n - 1 in Z^n: its signed maximal minors, up to one
+    common sign.  The empty basis in Z^1 gives [1].
+
+    z . row = 0 for every row, and z_q = D, the product of the pivots, at
+    the one column q without a pivot; back-substitution from the last row
+    up gives each z[p] by one exact division.  gcd(z) is the multiplicity
+    of the lattice, and |z . v| = |det[basis; v]| is that of the lattice
+    basis and v span, when v lies outside the hyperplane.
+    """
+    pivots = _pivots(basis)
+    z = [0] * n
+    q = next((j for j, p in enumerate(pivots) if j != p), n - 1)
+    z[q] = math.prod(row[p] for row, p in zip(basis, pivots))
+    for row, p in zip(reversed(basis), reversed(pivots)):
+        z[p] = -sum(map(mul, row, z)) // row[p]
+    return z
 
 
 def lattice_multiplicity(basis: Lattice) -> int:
@@ -248,12 +251,9 @@ def lattice_multiplicity(basis: Lattice) -> int:
 
     The index of the lattice in the integer points of its real span, which
     is the index in Z^r of the lattice spanned by the n columns of the
-    r x n basis.  At rank n that is the product of the pivots, and at
-    rank 1 the gcd of the row.  At rank n - 1 it is the gcd of the signed
-    maximal minors, the normal z of the hyperplane with z . row = 0 for
-    every row and z_q = D, the product of the pivots, at the one column q
-    without a pivot: back-substitution from the last row up gives each
-    z[p] by one exact division.  Otherwise each row i, from the last up,
+    r x n basis.  At rank n that is the product of the pivots, at rank 1
+    the gcd of the row, and at rank n - 1 the gcd of the signed maximal
+    minors (hyperplane_normal).  Otherwise each row i, from the last up,
     has its pivot column a gather the row-i entries of the column
     lattice: a non-pivot column f whose f[i] is a multiple of a[i] is
     cleared by one subtraction, any other f with f[i] != 0 is folded into
@@ -269,14 +269,9 @@ def lattice_multiplicity(basis: Lattice) -> int:
         return math.prod(basis[i][i] for i in range(r))
     if r == 1:
         return math.gcd(*basis[0])
-    pivots = _pivots(basis)
     if r == n - 1:
-        z = [0] * n
-        q = next((j for j, p in enumerate(pivots) if j != p), r)
-        z[q] = math.prod(row[p] for row, p in zip(basis, pivots))
-        for row, p in zip(reversed(basis), reversed(pivots)):
-            z[p] = -sum(map(mul, row, z)) // row[p]
-        return math.gcd(*z)
+        return math.gcd(*hyperplane_normal(basis, n))
+    pivots = _pivots(basis)
     free = [[row[j] for row in basis] for j in set(range(n)).difference(pivots)]
     m = 1
     for i in range(r - 1, -1, -1):

@@ -34,13 +34,14 @@ The last vector v walked is summed, not stored: no later step reads the
 lattices it makes, so each state L adds its counts straight to the
 (rank, m) groups below, once for the sublists that skip v, under
 (rank L, m(L)), and once, one size up, for those that add it, under
-(rank(L + Zv), m(L + Zv)).  A cyclic state (m, c) gives (n, gcd(c . v,
-m)).  A Hermite state of rank n or n - 1 gives what one scaled
-elimination reads off (exact_linalg.insert_multiplicity): v in the span
-of L, with m(L + Zv) = m(L) gcd(D, y) / D for D the product of the
-pivots and D v = y . L; or, at rank n - 1, v outside it, with
-m(L + Zv) = |det[L; v]|.  A state of rank n - 2 or less takes a Hermite
-insert as before, and m of the lattice it makes is computed once.
+(rank(L + Zv), m(L + Zv)), in one pass that reads each basis once.  A
+cyclic state (m, c) gives (n, gcd(c . v, m)); a full-rank Hermite state,
+with D = m(L) the product of its pivots and D v = y . L, gives
+(n, gcd(D, y)) (exact_linalg.insert_multiplicity); a state of rank n - 1
+has m(L) = gcd(z), for z its hyperplane's normal
+(exact_linalg.hyperplane_normal), and gives (n, |z . v|) when v leaves
+its span.  Every other state, and the lattice a Hermite insert of v
+makes from it, go to one table, where m is computed once per lattice.
 
 The counts of one lattice are packed into one integer, a field of
 |X| + 1 bits per size s; the sublists of size s number
@@ -68,6 +69,7 @@ from .exact_linalg import (
     cyclic_insert,
     cyclic_key,
     hnf_insert,
+    hyperplane_normal,
     insert_multiplicity,
     lattice_multiplicity,
 )
@@ -173,23 +175,25 @@ def _last_step_groups(
         groups[n, m] = groups.get((n, m), 0) + packed
         key = (n, gcd(sum(map(mul, c, v)), m))
         groups[key] = groups.get(key, 0) + (packed << width)
-    # the states below rank n - 1 take a Hermite insert, whose scaled
-    # elimination would often give no answer; a lattice it makes that is
-    # a state too is folded with that state, so m is computed once per
-    # lattice
-    added: dict[Lattice, int] = {}
-    for L, packed in counts.items():
-        if len(L) + 1 < n:
-            grown = hnf_insert(L, v)
-            added[grown] = added.get(grown, 0) + (packed << width)
+    # (rank, m) of L + Zv is read off L's basis at rank n, and at rank
+    # n - 1 when v leaves the span; every other state, and the lattice v
+    # grows it to, go to one table, so m is computed once per lattice there
+    rest: dict[Lattice, int] = {}
     for L, packed in counts.items():
         r = len(L)
-        key = (r, lattice_multiplicity(L))
-        groups[key] = groups.get(key, 0) + packed + added.pop(L, 0)
-        if r + 1 >= n:
-            key = insert_multiplicity(L, key[1], v)
-            groups[key] = groups.get(key, 0) + (packed << width)
-    for L, packed in added.items():
+        if r == n:
+            m = lattice_multiplicity(L)
+            grown = (n, insert_multiplicity(L, m, v))
+        elif r + 1 == n and (w := sum(map(mul, (z := hyperplane_normal(L, n)), v))):
+            m, grown = gcd(*z), (n, abs(w))
+        else:
+            rest[L] = rest.get(L, 0) + packed
+            grown = hnf_insert(L, v)
+            rest[grown] = rest.get(grown, 0) + (packed << width)
+            continue
+        groups[r, m] = groups.get((r, m), 0) + packed
+        groups[grown] = groups.get(grown, 0) + (packed << width)
+    for L, packed in rest.items():
         key = (len(L), lattice_multiplicity(L))
         groups[key] = groups.get(key, 0) + packed
     return groups

@@ -333,14 +333,6 @@ def _closed_plus_one(real):
     return walk
 
 
-def _plus_one_at_full_rank(real):
-    def insert(basis, m, v):
-        r, grown = real(basis, m, v)
-        return r, grown + (len(basis) == len(v))
-
-    return insert
-
-
 # (patched name, fault built from the real one, FAIL rows without --oracle,
 # FAIL rows with it); the three lists give the same rows
 VERIFY_FAULTS = [
@@ -353,10 +345,20 @@ VERIFY_FAULTS = [
     ),
     pytest.param(
         "tutte_core.insert_multiplicity",
-        _plus_one_at_full_rank,
+        lambda real: lambda basis, m, v: real(basis, m, v) + 1,
         ["dilation_identity_q2"],
         ["dilation_identity_q2"],
         id="m_plus_1_at_full_rank_in_the_last_step",
+    ),
+    # z + e_0 in place of a rank-(n-1) state's normal z; the 2z of
+    # test_a_faulty_last_step_fails_verify fails oracle rows that differ
+    # between the lists
+    pytest.param(
+        "tutte_core.hyperplane_normal",
+        lambda real: lambda basis, n: [x + (i == 0) for i, x in enumerate(real(basis, n))],
+        ["ehrhart_theorem_equals_independent_sets", "dilation_identity_q2"],
+        ["ehrhart_theorem_equals_independent_sets", "dilation_identity_q2", *ORACLE_ROWS],
+        id="normal_first_entry_plus_1_in_the_last_step",
     ),
     pytest.param(
         "tutte_core.expand_shifted_basis",
@@ -560,20 +562,24 @@ class TestVerifyFailurePath:
     def test_a_faulty_last_step_fails_verify(
         self, capsys, monkeypatch, vectors, rank_below_n, fault, caught_by
     ):
-        # the sum reads (rank, m) of L + Zv for the last vector v off
-        # insert_multiplicity, and stores no lattice for it.  A wrong m
-        # from a full-rank L only reaches sublists larger than n, which
-        # the dilation identity at q = 2 compares; a wrong m from a
-        # rank-(n-1) L reaches the bases, which the k-vector route counts
+        # the sum stores no lattice for the last vector v.  It reads
+        # m(L + Zv) off insert_multiplicity for a full-rank L, and m(L) and
+        # m(L + Zv) = |z . v| off the normal z of a rank-(n-1) L.  A wrong
+        # m from a full-rank L only reaches sublists larger than n, which
+        # the dilation identity at q = 2 compares; a wrong normal reaches
+        # the bases and the independent sets of size n - 1, which the
+        # k-vector route counts
         import zonotutte.tutte_core as tutte_core
 
-        real = tutte_core.insert_multiplicity
+        name = ("insert_multiplicity", "hyperplane_normal")[rank_below_n]
+        real = getattr(tutte_core, name)
 
-        def faulty(basis, m, v):
-            r, grown = real(basis, m, v)
-            return r, fault(grown) if len(basis) == len(v) - rank_below_n else grown
+        def faulty(basis, *args):
+            if rank_below_n:
+                return [fault(x) for x in real(basis, *args)]
+            return fault(real(basis, *args))
 
-        monkeypatch.setattr(tutte_core, "insert_multiplicity", faulty)
+        monkeypatch.setattr(tutte_core, name, faulty)
         code, out, err = run_cli(capsys, "verify", "--q-list", "1,2", "--vectors", vectors)
         assert (code, err) == (1, "")
         failing = [c["identity"] for c in json.loads(out)["checks"] if not c["pass"]]

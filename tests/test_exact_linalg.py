@@ -11,12 +11,13 @@ from zonotutte.exact_linalg import (
     cyclic_insert,
     cyclic_key,
     hnf_insert,
+    hyperplane_normal,
     insert_multiplicity,
     lattice_multiplicity,
     span,
 )
 from conftest import NEAR_1E20
-from tutte_reference import minor_gcd, rank_and_multiplicity, reference_hnf_insert
+from tutte_reference import minor_gcd, rank_and_multiplicity, reference_hnf_insert, signed_minors
 
 
 def sympy_matrix(sympy, vectors, dim):
@@ -421,18 +422,17 @@ def test_cyclic_steps_match_the_hermite_insert(case, data):
 
 
 @st.composite
-def insert_cases(draw):
-    """(n, basis, v): the canonical basis of the span of n - 1 to n + 1
-    random vectors in Z^n, n in 1..6, of rank n or n - 1, the ranks the
-    sum calls insert_multiplicity at, and a vector v from the lattice,
-    from its rational span (a primitive vector, mostly not in the
-    lattice), from anywhere (mostly outside the span at rank n - 1), or
-    zero."""
+def insert_cases(draw, rank_below_n):
+    """(n, basis, v): the canonical basis of the span of n - rank_below_n
+    to n + 1 random vectors in Z^n, n in 1..6, of rank n - rank_below_n,
+    and a vector v from the lattice, from its rational span (a primitive
+    vector, mostly not in the lattice), from anywhere (mostly outside the
+    span below full rank), or zero."""
     n = draw(st.integers(1, 6))
     entries = draw(st.sampled_from([NEAR_1E20, st.integers(-5, 5)]))
     vector = st.tuples(*[entries] * n)
-    basis = span(draw(st.lists(vector, min_size=n - 1, max_size=n + 1)))
-    assume(len(basis) >= n - 1)
+    basis = span(draw(st.lists(vector, min_size=n - rank_below_n, max_size=n + 1)))
+    assume(len(basis) == n - rank_below_n)
     kind = draw(st.sampled_from(["lattice", "span", "anywhere", "zero"]))
     if kind == "anywhere":
         return n, basis, draw(vector)
@@ -447,32 +447,49 @@ def insert_cases(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(insert_cases())
+@given(insert_cases(rank_below_n=0))
 def test_insert_multiplicity_reads_the_grown_lattice(case):
-    # the scaled elimination gives the rank of the grown Hermite key and
-    # the gcd of its maximal minors; m(L) comes from the minors, not the
+    # at full rank the scaled elimination gives the gcd of the maximal
+    # minors of the grown Hermite key; m(L) comes from the minors, not the
     # kernel
     n, basis, v = case
-    r = len(basis)
-    m = minor_gcd(basis, n, r) if r else 1
     grown = hnf_insert(basis, v)
-    k = len(grown)
-    assert insert_multiplicity(basis, m, v) == (k, minor_gcd(grown, n, k) if k else 1)
+    assert insert_multiplicity(basis, minor_gcd(basis, n, n), v) == minor_gcd(grown, n, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(insert_cases(rank_below_n=1))
+def test_hyperplane_normal_is_the_signed_maximal_minors(case):
+    # z is the vector of signed maximal minors up to one common sign, with
+    # gcd(z) = m(L); |z . v| is the gcd of the maximal minors of L + Zv
+    # when v leaves the span, and z . v = 0 when it does not
+    n, basis, v = case
+    z = hyperplane_normal(basis, n)
+    minors = signed_minors(basis, n)
+    assert z in (minors, [-x for x in minors])
+    assert math.gcd(*z) == minor_gcd(basis, n, n - 1)
+    grown = hnf_insert(basis, v)
+    dot = sum(a * b for a, b in zip(z, v))
+    assert abs(dot) == (minor_gcd(grown, n, n) if len(grown) == n else 0)
 
 
 def test_insert_multiplicity_cases():
-    # w = 0 at full rank: gcd(D, y); w = 0 at rank n - 1: m gcd(D, y) / D;
-    # w != 0 at rank n - 1: |det[basis; v]|
+    # gcd(D, y) for D v = y . L at full rank
     worked = span([(3, 0), (0, 2)])
-    assert insert_multiplicity(worked, 6, (1, 1)) == (2, 1)
-    assert insert_multiplicity(worked, 6, (3, 2)) == (2, 6)
-    assert insert_multiplicity(worked, 6, (0, 1)) == (2, 3)
-    line = span([(2, 4), (0, 0)])
-    assert insert_multiplicity(line, 2, (1, 2)) == (1, 1)
-    assert insert_multiplicity(line, 2, (0, 0)) == (1, 2)
-    assert insert_multiplicity(line, 2, (0, 1)) == (2, 2)
-    plane = span([(1, 0, 0), (0, 1, 0)])
-    assert insert_multiplicity(plane, 1, (5, 7, -3)) == (3, 3)
-    assert insert_multiplicity((), 1, (-4,)) == (1, 4)
-    assert insert_multiplicity((), 1, (0,)) == (0, 1)
-    assert insert_multiplicity((), 1, ()) == (0, 1)
+    assert insert_multiplicity(worked, 6, (1, 1)) == 1
+    assert insert_multiplicity(worked, 6, (3, 2)) == 6
+    assert insert_multiplicity(worked, 6, (0, 1)) == 3
+    assert insert_multiplicity((), 1, ()) == 1
+
+
+def test_hyperplane_normal_cases():
+    # |z . v| = |det[basis; v]| outside the span, and 0 inside it
+    def dots(z, *vectors):
+        return [sum(a * b for a, b in zip(z, v)) for v in vectors]
+
+    z = hyperplane_normal(span([(2, 4), (0, 0)]), 2)
+    assert (z, dots(z, (1, 2), (0, 0), (0, 1))) == ([-4, 2], [0, 0, 2])
+    z = hyperplane_normal(span([(1, 0, 0), (0, 1, 0)]), 3)
+    assert (z, dots(z, (5, 7, -3))) == ([0, 0, 1], [-3])
+    z = hyperplane_normal((), 1)
+    assert (z, dots(z, (-4,), (0,))) == ([1], [-4, 0])

@@ -334,11 +334,14 @@ class TestBruteForceCount:
     @given(walk_cases())
     def test_envelope_walk_matches_line_walk(self, case):
         # the per-slab envelopes against the walk that takes every facet row
-        # on every line, on the same rows and box
+        # on every line, on the same rows and box; and Z(X)'s facets with
+        # each offset scaled by q against the facets of qX, enumerated
+        # directly
         X, q = case
         rows, ranges = dilated_hrep(X, q).inequalities, _box_ranges(X, q)
         assert _closed_open_walk(rows, ranges) == reference_line_walk(rows, ranges)
-        assert closed_open_counts(X, q, base=zonotope_hrep(X)) == closed_open_counts(X, q)
+        scaled = closed_open_counts(X, q, base=zonotope_hrep(X))
+        assert scaled == closed_open_counts(dilate_list(X, q), 1)
 
     def test_dilation_compatibility(self, small_corpus):
         for X in small_corpus[:8]:

@@ -224,3 +224,40 @@ def test_every_default_has_a_caller():
         and (function, name) not in DEFAULTS_WITHOUT_A_CALLER
     ]
     assert found == []
+
+
+def test_every_definition_is_referenced():
+    # a module-level function or class that nothing in the package names,
+    # outside its own body, and that __init__ does not export is dead code.
+    # A name counts as an ast.Name id or an ast.Attribute attr, not as an
+    # import of it; module dunders such as __getattr__ are exempt
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exports = next(
+        node.value
+        for node in init.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_EXPORTS"
+    )
+    exported = {name for names in ast.literal_eval(exports).values() for name in names}
+    defined = []  # (file, definition)
+    referenced = {}  # name: the nodes that name it
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, node))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) if isinstance(node, ast.Name) else None
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            if name is not None:
+                referenced.setdefault(name, []).append(node)
+    assert {"lattice_multiplicity", "hnf_insert"} <= {node.name for _, node in defined}
+    found = []
+    for file, definition in defined:
+        name = definition.name
+        if name in exported or (name.startswith("__") and name.endswith("__")):
+            continue
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(id(node) not in inside for node in referenced.get(name, ())):
+            found.append(f"{file}:{definition.lineno} {name}")
+    assert found == []

@@ -114,6 +114,16 @@ def minor_gcd(vectors, dim, k):
     return g
 
 
+def signed_minors(rows, dim):
+    """The signed maximal minors of the (dim - 1) x dim matrix with the
+    given rows: entry j is (-1)^j times its minor without column j, the
+    cofactors of a last row up to the common sign (-1)^(dim - 1)."""
+    return [
+        (-1) ** j * _bareiss([[x for i, x in enumerate(row) if i != j] for row in rows])
+        for j in range(dim)
+    ]
+
+
 def rank_and_multiplicity(vectors, dim):
     """(r, m) of the vectors in Z^dim from their determinantal divisors."""
     r, m = 0, 1
