@@ -329,7 +329,7 @@ def _emit(report: dict, args) -> None:
     if args.pretty:
         print(_render_pretty(report))
     else:
-        print(json.dumps(report, separators=(", ", ": ")))
+        print(json.dumps(report))
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,15 @@ the table, are added to the lattice it grows to.  Lattices are keyed by
 their canonical Hermite normal form, and m(L) is computed once per
 lattice at the end, with one exception.  A full-rank lattice whose form
 has at most one pivot != 1 is cyclic, { x : c . x = 0 mod m } with
-m = m(L), and a second table keys it by (m, c) (exact_linalg.cyclic_key):
-a vector enters it by one dot product and one gcd instead of a Hermite
-insert, the lattice it grows to is cyclic again, and m is read off the
-key.  A Hermite insert whose result has that form moves it to the second
-table, so each lattice is in exactly one of the two.  X is walked sorted
-by the last nonzero coordinate of each vector, zero vectors first: the
-sum does not depend on the order, and sparse lists such as root systems
-keep fewer lattices in the early steps that way.
+m = m(L), and the table keys it by (m, c) instead
+(exact_linalg.cyclic_key), whose first entry is an int where a Hermite
+basis has a row: a vector enters it by one dot product and one gcd
+instead of a Hermite insert, the lattice it grows to is cyclic again,
+and m is read off the key.  A Hermite insert whose result has that form
+stores it under its (m, c) key, so every lattice has exactly one key.
+X is walked sorted by the last nonzero coordinate of each vector, zero
+vectors first: the sum does not depend on the order, and sparse lists
+such as root systems keep fewer lattices in the early steps that way.
 
 The last vector v walked is summed, not stored: no later step reads the
 lattices it makes, so each state L adds its counts straight to the
@@ -126,40 +127,34 @@ def _walk_order(X: VectorList) -> list[tuple[int, ...]]:
 
 def _lattice_tables(
     X: VectorList, vectors: Sequence[tuple[int, ...]]
-) -> tuple[dict[Lattice, int], dict[CyclicKey, int]]:
+) -> dict[Lattice | CyclicKey, int]:
     """The states of the sum after walking vectors, a sequence drawn from
     X: every lattice spanned by a sublist of them, with its packed counts,
-    keyed by cyclic_key where it has one (second table) and by its Hermite
-    basis otherwise (first table)."""
+    keyed by cyclic_key where it has one and by its Hermite basis
+    otherwise."""
     n = X.dim
-    # counts[L] holds, for each size s, the number of sublists of size s
+    # states[L] holds, for each size s, the number of sublists of size s
     # spanning L, packed into bits [s*width, (s+1)*width) of one integer.
     # A count is at most C(|X|, s) < 2^width, so fields never carry into
     # each other, and adding a vector to every sublist is a shift by width.
     width = len(X) + 1
-    counts: dict[Lattice, int] = {(): 1}
-    cyclic: dict[CyclicKey, int] = {}
+    states: dict[Lattice | CyclicKey, int] = {(): 1}
     for v in vectors:
-        # a skipped vector leaves every state where it is; the snapshots
-        # keep the counts from before v, which are the ones v extends
-        cyclic_items = list(cyclic.items())
-        for L, packed in list(counts.items()):
-            grown = hnf_insert(L, v)
-            # a lattice v leaves as it is stays in its table
-            if grown is not L and len(grown) == n:
-                key = cyclic_key(grown)
-                if key is not None:
-                    cyclic[key] = cyclic.get(key, 0) + (packed << width)
-                    continue
-            counts[grown] = counts.get(grown, 0) + (packed << width)
-        for key, packed in cyclic_items:
-            grown = cyclic_insert(key, v)
-            cyclic[grown] = cyclic.get(grown, 0) + (packed << width)
-    return counts, cyclic
+        # a skipped vector leaves every state where it is; the snapshot
+        # keeps the counts from before v, which are the ones v extends
+        for L, packed in list(states.items()):
+            # a cyclic key (m, c) starts with an int, a Hermite basis with a
+            # row; a Hermite lattice v leaves as it is keeps its key
+            if L and type(L[0]) is int:
+                grown = cyclic_insert(L, v)
+            elif (grown := hnf_insert(L, v)) is not L and len(grown) == n:
+                grown = cyclic_key(grown) or grown
+            states[grown] = states.get(grown, 0) + (packed << width)
+    return states
 
 
 def _last_step_groups(
-    counts: dict[Lattice, int], cyclic: dict[CyclicKey, int], v: tuple[int, ...], width: int
+    states: dict[Lattice | CyclicKey, int], v: tuple[int, ...], width: int
 ) -> dict[tuple[int, int], int]:
     """The packed counts of the whole sum by (rank, m), from the states
     left before the last vector v: each state adds its counts under its
@@ -171,17 +166,16 @@ def _last_step_groups(
     # no field: the group's field for size s counts at most C(|X|, s)
     # sublists, as one lattice's does
     groups: dict[tuple[int, int], int] = {}
-    for (m, c), packed in cyclic.items():
-        groups[n, m] = groups.get((n, m), 0) + packed
-        key = (n, gcd(sum(map(mul, c, v)), m))
-        groups[key] = groups.get(key, 0) + (packed << width)
-    # (rank, m) of L + Zv is read off L's basis at rank n, and at rank
-    # n - 1 when v leaves the span; every other state, and the lattice v
-    # grows it to, go to one table, so m is computed once per lattice there
+    # (rank, m) of L + Zv is read off L's key, and off its basis at rank n
+    # and at rank n - 1 when v leaves the span; every other state, and the
+    # lattice v grows it to, go to rest, so m is computed once per lattice
+    # there
     rest: dict[Lattice, int] = {}
-    for L, packed in counts.items():
-        r = len(L)
-        if r == n:
+    for L, packed in states.items():
+        if L and type(L[0]) is int:
+            r, (m, c) = n, L
+            grown = (n, gcd(sum(map(mul, c, v)), m))
+        elif (r := len(L)) == n:
             m = lattice_multiplicity(L)
             grown = (n, insert_multiplicity(L, m, v))
         elif r + 1 == n and (w := sum(map(mul, (z := hyperplane_normal(L, n)), v))):
@@ -205,8 +199,8 @@ def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult
     width = len(X) + 1
     ordered = _walk_order(X)
     if ordered:
-        counts, cyclic = _lattice_tables(X, ordered[:-1])
-        groups = _last_step_groups(counts, cyclic, ordered[-1], width)
+        states = _lattice_tables(X, ordered[:-1])
+        groups = _last_step_groups(states, ordered[-1], width)
     else:
         # the empty list spans Z^0: one sublist, of rank 0 and m = 1
         groups = {(0, 1): 1}

@@ -17,6 +17,7 @@ from zonotutte import (
     multiplicity_tutte,
     rank,
 )
+from zonotutte.exact_linalg import cyclic_key
 from zonotutte.tutte_core import _lattice_tables, _walk_order
 from conftest import NEAR_1E20, random_unimodular_list, spanning_lists
 from tutte_reference import reference_lattice_sum, reference_tutte_sums
@@ -255,15 +256,21 @@ def long_lists(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(long_lists())
-def test_two_tables_match_the_single_table_reference(X):
-    # the cyclic (m, c) table and the Hermite table together hold the
-    # reference's lattices, each once, with the same counts and weights
-    for result, weighted in ((multiplicity_tutte(X), True), (classical_tutte(X), False)):
-        shifted, unimodular, states = reference_lattice_sum(X, weighted)
-        assert result.shifted_terms == shifted
-        assert result.is_unimodular == unimodular
-    hermite, cyclic = _lattice_tables(X, _walk_order(X))
-    assert len(hermite) + len(cyclic) == states
+def test_one_table_matches_the_single_table_reference(X):
+    # the states, keyed by (m, c) where the lattice is cyclic and by its
+    # Hermite basis otherwise, are the reference's lattices, each once,
+    # with the same counts and weights; in Z^2 and up, every full-rank
+    # lattice of 2X and 3X has n pivots != 1 and keeps its Hermite key
+    for Y in (X, dilate_list(X, 2), dilate_list(X, 3)):
+        for result, weighted in ((multiplicity_tutte(Y), True), (classical_tutte(Y), False)):
+            shifted, unimodular, count = reference_lattice_sum(Y, weighted)
+            assert result.shifted_terms == shifted
+            assert result.is_unimodular == unimodular
+        states = _lattice_tables(Y, _walk_order(Y))
+        assert len(states) == count
+        for L in states:
+            if L and not isinstance(L[0], int) and len(L) == Y.dim:
+                assert cyclic_key(L) is None
 
 
 @st.composite

@@ -11,8 +11,8 @@ that the property tests compare them with.
 
 reference_lattice_sum is the lattice DP with one table, every lattice
 keyed by its Hermite basis.  It uses the kernel (hnf_insert,
-lattice_multiplicity) and checks only the DP's split of its states into
-a Hermite table and a cyclic (m, c) table, state count included.
+lattice_multiplicity) and checks only the DP's choice of key for each
+state, a Hermite basis or a cyclic (m, c) key, state count included.
 
 reference_hnf_insert is the lattice kernel's plain Hermite insert: one
 leading-column scan per row, a row subtraction before every step, a
