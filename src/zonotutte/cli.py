@@ -136,10 +136,6 @@ def _load_input(args) -> VectorList:
         raise InputError(str(exc)) from exc
 
 
-def _input_echo(X: VectorList) -> dict:
-    return {"dim": X.dim, "vectors": [list(v) for v in X.vectors]}
-
-
 def _parse_q_list(text: str) -> list[int]:
     try:
         values = [int(x) for x in text.split(",") if x.strip()]
@@ -151,14 +147,13 @@ def _parse_q_list(text: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns the report dict.
+# Command handlers: each returns its own keys of the report, which main
+# writes after "command" and "input".
 
 def _cmd_tutte(X: VectorList, args) -> dict:
     compute = classical_tutte if args.classical else multiplicity_tutte
     result = compute(X, max_list_size=args.max_subsets)
     return {
-        "command": "tutte",
-        "input": _input_echo(X),
         "results": {
             "kind": "classical" if args.classical else "multiplicity",
             "monomial": poly_to_json(result.polynomial, ("x", "y")),
@@ -194,7 +189,7 @@ def _cmd_ehrhart(X: VectorList, args) -> dict:
             "via": "q^n M_X(1-1/q, 1); at q=1 this is M_X(0,1)",
             "q": args.q,
         }
-    return {"command": command, "input": _input_echo(X), "results": results}
+    return {"results": results}
 
 
 def _cmd_verify(X: VectorList, args) -> dict:
@@ -278,8 +273,6 @@ def _cmd_verify(X: VectorList, args) -> dict:
         record("corollary_interior_points", interior_points, opened1)
 
     return {
-        "command": "verify",
-        "input": _input_echo(X),
         "results": {
             "ehrhart": poly_to_json(E_theorem, ("q",)),
             "interior": poly_to_json(I_poly, ("q",)),
@@ -325,17 +318,10 @@ def _render_pretty(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, args) -> None:
-    if args.pretty:
-        print(_render_pretty(report))
-    else:
-        print(json.dumps(report))
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_common(parser: argparse.ArgumentParser, *, with_q: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "input",
         nargs="?",
@@ -357,8 +343,6 @@ def _add_common(parser: argparse.ArgumentParser, *, with_q: bool = False) -> Non
         metavar="N",
         help=f"refuse lists longer than N vectors (default {MAX_LIST_SIZE})",
     )
-    if with_q:
-        parser.add_argument("--q", type=int, default=1, help="dilation factor (default 1)")
 
 
 @functools.cache
@@ -384,7 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("interior", "interior lattice points of the dilated zonotope"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, with_q=name in ("count", "interior"))
+        _add_common(p)
+        if name in ("count", "interior"):
+            p.add_argument("--q", type=int, default=1, help="dilation factor (default 1)")
         p.set_defaults(handler=_cmd_ehrhart)
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
@@ -467,7 +453,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         start = time.perf_counter()
         try:
-            report = args.handler(X, args)
+            report = {
+                "command": args.command,
+                "input": {"dim": X.dim, "vectors": [list(v) for v in X.vectors]},
+                **args.handler(X, args),
+            }
         except DimensionDeficient as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DIMENSION
@@ -476,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CAP
         if args.timing:
             report["timing_ms"] = int((time.perf_counter() - start) * 1000)
-        _emit(report, args)
+        print(_render_pretty(report) if args.pretty else json.dumps(report))
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

@@ -97,7 +97,7 @@ class VectorList:
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]]):
         vecs = tuple(tuple(_check_int(x) for x in v) for v in vectors)
-        if dim < 0:
+        if _check_int(dim) < 0:
             raise ValueError("ambient dimension must be nonnegative")
         for v in vecs:
             if len(v) != dim:

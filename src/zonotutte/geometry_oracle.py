@@ -42,14 +42,14 @@ maps q Z(X) onto itself, and swaps each facet row (c, d) with its opposite
 (-c, d - q sum_i c.x_i).  The bounding box, from lo_j = q sum_i min(0, x_ij)
 to hi_j = q sum_i max(0, x_ij), has the same centre, since lo_j + hi_j =
 q sum_i x_ij, and twice that centre is an integer vector, so the map
-pairs integer points with integer points and each line with a line that
+pairs integer points with integer points and each slab with a slab that
 holds as many closed and interior points.  The walk therefore visits only
-the lines whose coordinates off the axis are lexicographically at most
-their mirror's: a line strictly below its mirror counts twice, and a line
-equal to its mirror, which exists only where every lo_j + hi_j off the
-axis is even, counts once.  A slab that is its own mirror is walked to
-the centre of its range of b.  A segment (n = 1) is one such slab, of a
-zero-width range of b.
+the slabs whose coordinates before b are lexicographically at most their
+mirror's: a slab strictly below its mirror counts twice, and a slab equal
+to its mirror, which exists only where every lo_j + hi_j before b is
+even, is walked whole and counts once.  In the plane (n = 2) the one slab
+is its own mirror and is walked whole; a segment (n = 1) is one such
+slab, of a zero-width range of b.
 
 The same hyperplane normals decide whether some functional is strictly
 positive on a list (find_positive_functional): on the pivot coordinates of
@@ -237,7 +237,7 @@ def _closed_open_walk(
     rows: Sequence[Row], ranges: Sequence[tuple[int, int]]
 ) -> tuple[int, int]:
     """Integer points p of the box with c . p <= d on every row (c, d), and
-    those with c . p <= d - 1, from one walk over the lines up to their
+    those with c . p <= d - 1, from one walk over the slabs up to their
     mirrors, each line bounded by the facet envelopes of its slab (module
     docstring).  The rows must bound a body inside the box that is
     centrally symmetric about the box's centre."""
@@ -267,7 +267,7 @@ def _closed_open_walk(
     flat_b = [c[b] for c, _ in rows[v:]]
     lo_b, hi_b = ranges[b]
 
-    def slab(slacks: list[int], tied: bool) -> tuple[int, int]:
+    def slab(slacks: list[int]) -> tuple[int, int]:
         # the flats bound b to [start, stop]; a line lies on a facet
         # parallel to the axis where a flat's slack is 0: at start or stop
         # if that end is an exact quotient, or on the whole slab
@@ -288,52 +288,41 @@ def _closed_open_walk(
                 if s < 0:
                     return 0, 0
                 whole = True
-        stop_walk = min(stop, (lo_b + hi_b) // 2) if tied else stop
-        if start > stop_walk:
+        if start > stop:
             return 0, 0
-        cap_env = _envelope(cap_lines, slacks[:u], stop_walk)
-        floor_env = _envelope(floor_lines, slacks[u:v], stop_walk)
-
-        def count(first: int, last: int) -> tuple[int, int]:
-            # the lines at b = y for y in first..last; on each, the lowest
-            # cap and floor give t's closed interval by one floor division
-            # each, and the open one drops each end whose bound is an integer
-            i = j = 0
-            cs, cc, ca, cap_until = cap_env[0]
-            fs, fc, fa, floor_until = floor_env[0]
-            closed = opened = 0
-            for y in range(first, last + 1):
-                while y >= cap_until:
-                    i += 1
-                    cs, cc, ca, cap_until = cap_env[i]
-                while y >= floor_until:
-                    j += 1
-                    fs, fc, fa, floor_until = floor_env[j]
-                hi, cap_rem = divmod(cs - cc * y, ca)
-                neg_lo, floor_rem = divmod(fs - fc * y, fa)
-                points = hi + neg_lo + 1
-                if points <= 0:
-                    continue
-                closed += points
-                if whole or (y == start and at_start) or (y == stop and at_stop):
-                    continue
-                opened += max(0, points - (cap_rem == 0) - (floor_rem == 0))
-            return closed, opened
-
-        if not tied:
-            return count(start, stop)
-        below = count(start, min(stop, (lo_b + hi_b - 1) // 2))
-        if (lo_b + hi_b) % 2:
-            return 2 * below[0], 2 * below[1]
-        centre = count(max(start, (lo_b + hi_b) // 2), stop_walk)
-        return 2 * below[0] + centre[0], 2 * below[1] + centre[1]
+        cap_env = _envelope(cap_lines, slacks[:u], stop)
+        floor_env = _envelope(floor_lines, slacks[u:v], stop)
+        # the lines at b = y for y in start..stop; on each, the lowest cap
+        # and floor give t's closed interval by one floor division each,
+        # and the open one drops each end whose bound is an integer
+        i = j = 0
+        cs, cc, ca, cap_until = cap_env[0]
+        fs, fc, fa, floor_until = floor_env[0]
+        closed = opened = 0
+        for y in range(start, stop + 1):
+            while y >= cap_until:
+                i += 1
+                cs, cc, ca, cap_until = cap_env[i]
+            while y >= floor_until:
+                j += 1
+                fs, fc, fa, floor_until = floor_env[j]
+            hi, cap_rem = divmod(cs - cc * y, ca)
+            neg_lo, floor_rem = divmod(fs - fc * y, fa)
+            points = hi + neg_lo + 1
+            if points <= 0:
+                continue
+            closed += points
+            if whole or (y == start and at_start) or (y == stop and at_stop):
+                continue
+            opened += max(0, points - (cap_rem == 0) - (floor_rem == 0))
+        return closed, opened
 
     def walk(depth: int, slacks: list[int], tied: bool) -> tuple[int, int]:
         # tied: the coordinates fixed so far are their own mirror's, so the
-        # walk stops at the centre, and slabs and lines strictly below it
-        # stand for their mirrors too
+        # walk stops at the centre, and slabs strictly below it stand for
+        # their mirrors too
         if depth == len(outer):
-            return slab(slacks, tied)
+            return slab(slacks)
         lo_j, hi_j = ranges[outer[depth]]
         step = [c[outer[depth]] for c, _ in rows]
         slacks = [s - c * lo_j for s, c in zip(slacks, step)]
@@ -363,12 +352,12 @@ def closed_open_counts(
     """Count lattice points of the dilated zonotope: (closed hull, interior).
 
     One walk gives both counts (module docstring): it visits only the
-    lines of the bounding box up to their mirror images through the
-    centre.  Each slab of lines takes one pass over the facet rows, which
-    builds the lower envelopes of the rows that cap and that floor the
-    walked axis; each line then reads its closed interval off the two
-    envelopes by one floor division per end, and its interior interval
-    drops each end whose bound is an integer.  max_box caps the box's
+    slabs of the bounding box up to their mirror images through the
+    centre, and every line of each.  Each slab takes one pass over the
+    facet rows, which builds the lower envelopes of the rows that cap and
+    that floor the walked axis; each line then reads its closed interval
+    off the two envelopes by one floor division per end, and its interior
+    interval drops each end whose bound is an integer.  max_box caps the box's
     lines (its points over its longest side) times the facet rows, an
     upper bound on the walk's work.  base, when given, must be
     zonotope_hrep(X), the facets of Z(X); the facets of q Z(X) are its

@@ -15,10 +15,10 @@ both halves of the oracle's count: the facets of zonotope_hrep and the
 line walk of closed_open_counts.
 
 reference_line_walk is the oracle's earlier line walk, kept as it was:
-it visits the same lines up to their mirrors as closed_open_counts, but
-bounds each line by one floor division per facet row instead of by the
-per-slab envelopes of the rows, so the two walks share only the mirror
-argument.
+it visits the lines up to their mirrors, where closed_open_counts visits
+whole slabs up to theirs, and bounds each line by one floor division per
+facet row instead of by the per-slab envelopes of the rows, so the two
+walks share only the mirror argument.
 
 reference_positive_functional decides the strict system c . a > 0 by the
 same elimination with back-substitution, sharing no minor formula with
@@ -206,7 +206,8 @@ def reference_counts(X, q):
 def reference_line_walk(rows, ranges):
     """Integer points p of the box with c . p <= d on every row (c, d), and
     those with c . p <= d - 1, from one walk over the lines up to their
-    mirrors (geometry_oracle's module docstring).  The rows must bound a
+    mirrors through the box's centre, where geometry_oracle's walk mirrors
+    whole slabs (its module docstring).  The rows must bound a
     body inside the box that is centrally symmetric about the box's
     centre."""
     axis = max(range(len(ranges)), key=lambda j: ranges[j][1] - ranges[j][0])

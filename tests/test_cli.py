@@ -98,6 +98,27 @@ class TestTutteCommand:
         assert out.splitlines()[-1].startswith("timing_ms: ")
 
 
+class TestReportEnvelope:
+    @pytest.mark.parametrize("timing", [False, True], ids=["plain", "timing"])
+    @pytest.mark.parametrize(
+        "command", ["tutte", "ehrhart", "count", "interior", "volume", "verify"]
+    )
+    def test_keys_in_order(self, capsys, command, timing):
+        # every report opens with the command and the input echo, then the
+        # command's own keys; --timing appends timing_ms and changes
+        # nothing else
+        argv = [command, "--vectors", "3,0;0,2;1,1"]
+        plain = run_json(capsys, *argv)
+        report = run_json(capsys, *argv, *["--timing"] * timing)
+        keys = ["command", "input", "results"] + ["checks"] * (command == "verify")
+        assert list(report) == keys + ["timing_ms"] * timing
+        assert report["command"] == command
+        assert report["input"] == {"dim": 2, "vectors": [[3, 0], [0, 2], [1, 1]]}
+        if timing:
+            assert type(report.pop("timing_ms")) is int
+        assert report == plain
+
+
 class TestScalarCommands:
     def test_count_at_two(self, capsys):
         report = run_json(capsys, "count", "--q", "2", "--vectors", "3,0;0,2;1,1")

@@ -53,6 +53,17 @@ class TestRecords:
         assert X != X.vectors
         assert repr(X) == "VectorList(dim=2, vectors=((3, 0), (0, 2), (1, 1)))"
 
+    def test_vector_list_dim_is_a_nonnegative_int(self):
+        # a bool dim would run as 0 or 1, and a float one fail inside every
+        # sum; both are refused where the list is built
+        with pytest.raises(TypeError):
+            VectorList(True, [(1,)])
+        with pytest.raises(TypeError):
+            VectorList(2.0, [(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            VectorList(-1, [])
+        assert VectorList(0, [()]).dim == 0
+
     def test_int_matrix_checks_its_entries(self):
         M = IntMatrix.from_columns([(1, 2), (3, 4), (5, 6)], 2)
         assert (M.rows, M.cols, M.entries) == (2, 3, (1, 3, 5, 2, 4, 6))

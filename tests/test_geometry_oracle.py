@@ -310,10 +310,11 @@ class TestBruteForceCount:
 
     def test_half_walk_every_centre_parity_and_axis(self):
         # coordinate j of the box centre is (lo_j + hi_j) / 2 = q * sum_i x_ij / 2;
-        # lines are their own mirror only where every lo_j + hi_j off the
-        # walked axis is even.  Cover every parity pattern off the axis, with
-        # the axis in every position; q = 2 makes every sum even.  Lines on
-        # facets parallel to the axis hold closed points but no interior ones.
+        # a slab is its own mirror, and is walked whole, only where every
+        # lo_j + hi_j before its coordinate b is even.  Cover every parity
+        # pattern off the walked axis, with the axis in every position; q = 2
+        # makes every sum even.  Lines on facets parallel to the axis hold
+        # closed points but no interior ones.
         rng = random.Random(1974)
         for n, bound in ((1, 3), (2, 2), (3, 1), (4, 1)):
             for axis in range(n):

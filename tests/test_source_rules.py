@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+from code_lines import code_lines
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zonotutte"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
@@ -261,3 +263,22 @@ def test_every_definition_is_referenced():
         if not any(id(node) not in inside for node in referenced.get(name, ())):
             found.append(f"{file}:{definition.lineno} {name}")
     assert found == []
+
+
+def test_code_line_counter():
+    # the counter ROADMAP's line figure comes from: docstrings, comments
+    # and blank lines do not count, and a statement over two lines counts
+    # two
+    sample = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment
+
+
+def area(r):
+    """Docstring."""
+    # a comment line
+    return (math.pi
+            * r * r)
+'''
+    assert code_lines(sample) == 4
