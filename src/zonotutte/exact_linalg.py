@@ -96,9 +96,11 @@ class VectorList:
     vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]]):
-        vecs = tuple(tuple(_check_int(x) for x in v) for v in vectors)
-        if _check_int(dim) < 0:
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError(f"ambient dimension must be an integer, got {dim!r}")
+        if dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
+        vecs = tuple(tuple(_check_int(x) for x in v) for v in vectors)
         for v in vecs:
             if len(v) != dim:
                 raise ValueError(f"vector {v} does not have length {dim}")

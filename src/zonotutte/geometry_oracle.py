@@ -61,6 +61,7 @@ cone is strictly positive on the list whenever any functional is.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import cmp_to_key
 from itertools import combinations
@@ -76,7 +77,7 @@ MAX_PARTITION_NODES = 300_000  # calls of partition_function's search
 Row = tuple[tuple[int, ...], int]  # coeffs . v <= rhs
 
 
-class HRep:
+class HRep(namedtuple("HRep", "dim inequalities")):
     """Inequality description normal . p <= offset of a rational polytope.
 
     Rows are normalized to primitive integer form (gcd of the normal is 1)
@@ -85,24 +86,7 @@ class HRep:
     nevertheless emits exactly the facets.
     """
 
-    __slots__ = ("dim", "inequalities")
-    dim: int
-    inequalities: tuple[Row, ...]
-
-    def __init__(self, dim: int, inequalities: tuple[Row, ...]):
-        self.dim = dim
-        self.inequalities = inequalities
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.dim == other.dim and self.inequalities == other.inequalities
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.inequalities))
-
-    def __repr__(self) -> str:
-        return f"HRep(dim={self.dim!r}, inequalities={self.inequalities!r})"
+    __slots__ = ()
 
 
 def _bareiss(m: list[list[int]]) -> int:

@@ -31,9 +31,9 @@ class BiPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+    def __init__(self, terms: Mapping[tuple[int, int], int]):
         clean: dict[tuple[int, int], int] = {}
-        for (i, j), c in (terms or {}).items():
+        for (i, j), c in terms.items():
             if _check_int(i) < 0 or _check_int(j) < 0:
                 raise ValueError("exponents must be nonnegative")
             if _check_int(c):

@@ -57,6 +57,7 @@ arithmetic with this pass.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from math import comb, gcd
 from operator import mul
@@ -79,7 +80,9 @@ from .polynomials import BiPoly, expand_shifted_basis
 MAX_LIST_SIZE = 24
 
 
-class TutteResult:
+class TutteResult(
+    namedtuple("TutteResult", "polynomial shifted_terms generators is_unimodular")
+):
     """A Tutte-type polynomial together with the data it was built from.
 
     polynomial is the monomial-basis form; shifted_terms maps (i, j) to
@@ -88,23 +91,7 @@ class TutteResult:
     generators is the list X it was summed from, whose dim is n.
     """
 
-    __slots__ = ("polynomial", "shifted_terms", "generators", "is_unimodular")
-    polynomial: BiPoly
-    shifted_terms: dict[tuple[int, int], int]
-    generators: VectorList
-    is_unimodular: bool
-
-    def __init__(
-        self,
-        polynomial: BiPoly,
-        shifted_terms: dict[tuple[int, int], int],
-        generators: VectorList,
-        is_unimodular: bool,
-    ):
-        self.polynomial = polynomial
-        self.shifted_terms = shifted_terms
-        self.generators = generators
-        self.is_unimodular = is_unimodular
+    __slots__ = ()
 
 
 def check_input(X: VectorList, max_list_size: int) -> None:
@@ -245,15 +232,16 @@ def dilate_list(X: VectorList, q: int) -> VectorList:
 
 
 def dilation_identity_sides(M: TutteResult, q: int) -> tuple[BiPoly, BiPoly]:
-    """Both sides of the dilation identity for M = multiplicity_tutte(X),
-    computed independently.
+    """Both sides of the dilation identity for M = multiplicity_tutte(X).
 
     The left side is the weighted polynomial of qX from scratch; at q = 1
     that is M itself, the same sum on the same list.  X passed the list
     cap when M was built, and qX is as long.  The right side is
     q^n M_X(1 + (x-1)/q, y), expanded from the monomial form sum a_ab x^a
-    y^b of M_X as sum a_ab q^(n-a) (x+q-1)^a y^b, so it does not pass
-    through the shifted-basis expansion that built the left side.
+    y^b of M_X as sum a_ab q^(n-a) (x+q-1)^a y^b, so for q > 1 it does
+    not pass through the shifted-basis expansion that built the left side.
+    At q = 1 that expansion is M's own monomial form, so both sides are M
+    and compare equal for any M: the q = 1 identity cannot fail.
     """
     X = M.generators
     if q == 1:

@@ -55,11 +55,12 @@ class TestRecords:
 
     def test_vector_list_dim_is_a_nonnegative_int(self):
         # a bool dim would run as 0 or 1, and a float one fail inside every
-        # sum; both are refused where the list is built
-        with pytest.raises(TypeError):
-            VectorList(True, [(1,)])
-        with pytest.raises(TypeError):
-            VectorList(2.0, [(1, 0), (0, 1)])
+        # sum; both are refused where the list is built, before any entry
+        # is read, by a message that names the dimension
+        for dim, vectors in ((True, [(1,)]), (2.0, []), ("2", []), (2.0, [(1.5, 0)])):
+            with pytest.raises(TypeError) as error:
+                VectorList(dim, vectors)
+            assert str(error.value) == f"ambient dimension must be an integer, got {dim!r}"
         with pytest.raises(ValueError, match="nonnegative"):
             VectorList(-1, [])
         assert VectorList(0, [()]).dim == 0

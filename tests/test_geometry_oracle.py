@@ -142,6 +142,7 @@ class TestZonotopeHrep:
         assert H != zonotope_hrep(WORKED)
         assert H != HRep(dim=3, inequalities=H.inequalities)
         assert H != H.inequalities
+        assert H == (2, H.inequalities) and not hasattr(H, "__dict__")
         assert repr(H).startswith("HRep(dim=2, inequalities=(((-1, 0), 0), ((-1, 1), 4), ")
 
     def test_unit_square(self):

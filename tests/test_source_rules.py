@@ -126,7 +126,8 @@ def test_one_exception_class_per_exit_code():
 
 def test_no_dataclasses():
     # dataclasses imports inspect, ast and dis, about 10 ms of every CLI
-    # call's start-up; the records are plain classes with __slots__
+    # call's start-up; the records are plain classes with __slots__ or
+    # collections.namedtuple subclasses
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
@@ -194,25 +195,48 @@ DEFAULTS_WITHOUT_A_CALLER = {
 }
 
 
+def _defaulted(function, skip):
+    """{parameter: its position among a call's arguments, None if
+    keyword-only} for each defaulted parameter of function; skip is the
+    number of leading parameters a call does not pass (self or cls)."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = {a.arg: i - skip for i, a in enumerate(positional[first:], first)}
+    found.update(
+        (a.arg, None)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    )
+    return found
+
+
 def test_every_default_has_a_caller():
-    # a defaulted parameter of a module-level function that no call in the
-    # package sets is an option with one value; it becomes a constant.  A
-    # call sets it by keyword or by position, and names its callee by an
-    # ast.Name id or an ast.Attribute attr
-    defaults = {}  # (function, parameter): its position, None if keyword-only
+    # a defaulted parameter of a module-level function, or of a method of a
+    # module-level class, that no call in the package sets is an option with
+    # one value; it becomes a constant.  A call sets it by keyword or by
+    # position, and names its callee by an ast.Name id or an ast.Attribute
+    # attr; a call of class C is a call of C.__init__
+    defaults = {}  # (callee, parameter): (its position, what defines it)
     passed = set()  # (callee, parameter name or position)
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in tree.body:
+            functions = []  # (callee, definition, label, parameters a call skips)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                for i, a in enumerate(positional[first:], first):
-                    defaults[node.name, a.arg] = i
-                for a, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        defaults[node.name, a.arg] = None
+                functions.append((node.name, node, node.name, 0))
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        static = any(
+                            getattr(d, "id", None) == "staticmethod" for d in method.decorator_list
+                        )
+                        callee = node.name if method.name == "__init__" else method.name
+                        label = f"{node.name}.{method.name}"
+                        functions.append((callee, method, label, 0 if static else 1))
+            for callee, function, label, skip in functions:
+                for name, i in _defaulted(function, skip).items():
+                    defaults[callee, name] = (i, label)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -220,10 +244,10 @@ def test_every_default_has_a_caller():
                 passed.update((callee, i) for i in range(len(node.args)))
     assert DEFAULTS_WITHOUT_A_CALLER <= defaults.keys()
     found = [
-        f"{function}.{name}"
-        for (function, name), i in defaults.items()
-        if not {(function, name), (function, i)} & passed
-        and (function, name) not in DEFAULTS_WITHOUT_A_CALLER
+        f"{label}.{name}"
+        for (callee, name), (i, label) in defaults.items()
+        if not {(callee, name), (callee, i)} & passed
+        and (callee, name) not in DEFAULTS_WITHOUT_A_CALLER
     ]
     assert found == []
 

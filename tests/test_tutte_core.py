@@ -9,6 +9,7 @@ from zonotutte import (
     BiPoly,
     CapExceeded,
     DimensionDeficient,
+    TutteResult,
     VectorList,
     classical_tutte,
     dilate_list,
@@ -34,6 +35,23 @@ class TestMultiplicityTutte:
         assert M.generators is WORKED
         assert M.generators.dim == 2
         assert not M.is_unimodular
+
+    def test_result_is_a_tuple_record(self):
+        # a namedtuple with no instance dict: it builds by keyword, as the
+        # sum builds it, unpacks in field order and compares by value, and
+        # cannot be hashed, since shifted_terms is a dict
+        M = multiplicity_tutte(WORKED)
+        assert not hasattr(M, "__dict__")
+        built = TutteResult(
+            polynomial=M.polynomial,
+            shifted_terms=dict(M.shifted_terms),
+            generators=WORKED,
+            is_unimodular=False,
+        )
+        assert built == M
+        assert tuple(built) == (M.polynomial, M.shifted_terms, WORKED, False)
+        with pytest.raises(TypeError):
+            hash(M)
 
     def test_unit_square(self):
         M = multiplicity_tutte(UNIT_SQUARE)
