@@ -204,11 +204,10 @@ def _cmd_verify(X: VectorList, args) -> dict:
 
         check_input(X, args.max_subsets)
         facets = geometry_oracle.zonotope_hrep(X)
-        for q in [*q_list, 1]:
-            if q not in counts:
-                counts[q] = geometry_oracle.closed_open_counts(
-                    X, q, max_box=args.max_box, base=facets
-                )
+        for q in dict.fromkeys([*q_list, 1]):
+            counts[q] = geometry_oracle.closed_open_counts(
+                X, q, max_box=args.max_box, base=facets
+            )
 
     M = multiplicity_tutte(X, max_list_size=args.max_subsets)
     n = X.dim
@@ -230,10 +229,8 @@ def _cmd_verify(X: VectorList, args) -> dict:
 
     record("ehrhart_theorem_equals_independent_sets", E_theorem, E_direct)
 
-    sides: dict[int, tuple[BiPoly, BiPoly]] = {}
+    sides = {q: dilation_identity_sides(M, q) for q in dict.fromkeys(q_list)}
     for q in q_list:
-        if q not in sides:
-            sides[q] = dilation_identity_sides(M, q)
         record(f"dilation_identity_q{q}", *sides[q])
 
     # E and I are read off M's shifted coefficients; the checks below read
@@ -286,12 +283,12 @@ def _cmd_verify(X: VectorList, args) -> dict:
 # Rendering
 
 def _render_pretty(report: dict) -> str:
-    lines = [f"command: {report['command']}"]
+    command = report["command"]
+    lines = [f"command: {command}"]
     echo = report["input"]
     vecs = " ".join("(" + ",".join(map(str, v)) + ")" for v in echo["vectors"])
     lines.append(f"input: dim={echo['dim']} vectors={vecs}")
-    results = report.get("results", {})
-    command = report["command"]
+    results = report["results"]
     if command == "tutte":
         lines.append(f"kind: {results['kind']}")
         lines.append(f"monomial: {format_poly(results['monomial'])}")
@@ -312,7 +309,7 @@ def _render_pretty(report: dict) -> str:
             lines.append(
                 f"{status} {check['identity']}: lhs={check['lhs']} rhs={check['rhs']}"
             )
-        lines.append(f"all identities pass: {report['results']['all_pass']}")
+        lines.append(f"all identities pass: {results['all_pass']}")
     if "timing_ms" in report:
         lines.append(f"timing_ms: {report['timing_ms']}")
     return "\n".join(lines)
@@ -320,30 +317,6 @@ def _render_pretty(report: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # Parser
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "input",
-        nargs="?",
-        default="-",
-        help='JSON input file, or "-" for stdin (default)',
-    )
-    parser.add_argument(
-        "--vectors",
-        help='inline vector list, e.g. "3,0;0,2;1,1" (overrides the input file)',
-    )
-    parser.add_argument("--pretty", action="store_true", help="human-readable output")
-    parser.add_argument(
-        "--timing", action="store_true", help="add wall-clock milliseconds to the report"
-    )
-    parser.add_argument(
-        "--max-subsets",
-        type=int,
-        default=MAX_LIST_SIZE,
-        metavar="N",
-        help=f"refuse lists longer than N vectors (default {MAX_LIST_SIZE})",
-    )
-
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -354,8 +327,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zonotutte {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tutte = sub.add_parser("tutte", help="Tutte polynomial of the list")
-    _add_common(p_tutte)
+    # the options every command takes, copied into each by parents=
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "input",
+        nargs="?",
+        default="-",
+        help='JSON input file, or "-" for stdin (default)',
+    )
+    common.add_argument(
+        "--vectors",
+        help='inline vector list, e.g. "3,0;0,2;1,1" (overrides the input file)',
+    )
+    common.add_argument("--pretty", action="store_true", help="human-readable output")
+    common.add_argument(
+        "--timing", action="store_true", help="add wall-clock milliseconds to the report"
+    )
+    common.add_argument(
+        "--max-subsets",
+        type=int,
+        default=MAX_LIST_SIZE,
+        metavar="N",
+        help=f"refuse lists longer than N vectors (default {MAX_LIST_SIZE})",
+    )
+
+    p_tutte = sub.add_parser("tutte", parents=[common], help="Tutte polynomial of the list")
     p_tutte.add_argument(
         "--classical", action="store_true", help="unit weights instead of multiplicities"
     )
@@ -367,14 +363,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("volume", "volume of the zonotope"),
         ("interior", "interior lattice points of the dilated zonotope"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p = sub.add_parser(name, parents=[common], help=help_text)
         if name in ("count", "interior"):
             p.add_argument("--q", type=int, default=1, help="dilation factor (default 1)")
         p.set_defaults(handler=_cmd_ehrhart)
 
-    p_verify = sub.add_parser("verify", help="run the identity suite")
-    _add_common(p_verify)
+    p_verify = sub.add_parser("verify", parents=[common], help="run the identity suite")
     p_verify.add_argument(
         "--q-list",
         default="1,2",
@@ -410,19 +404,23 @@ def _attach_list_values(argv: list[str]) -> list[str]:
 
     argparse reads a separate value that starts with "-" and is not a
     plain negative number as an option, so a list whose first entry is
-    negative would be refused with "expected one argument".
+    negative would be refused with "expected one argument".  Such a value
+    is merged into the token before it when that token, after the
+    command, is a list option or an abbreviation of one ("--vec").  "--"
+    alone still ends the options, and before the command "--v" is
+    --version.  count's own "--q" also abbreviates "--q-list"; merged, it
+    takes the same value it would take separately.
     """
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        value = argv[i + 1] if i + 1 < len(argv) else ""
-        if token in _LIST_OPTIONS and value[:1] == "-" and value[1:2].isdigit():
-            out.append(f"{token}={value}")
-            i += 2
+    for token in argv:
+        # no option of the top-level parser takes a value, so the command
+        # is the first token that does not start with "-"
+        option = out[-1] if any(t[:1] != "-" for t in out) else ""
+        listed = len(option) > 2 and any(n.startswith(option) for n in _LIST_OPTIONS)
+        if listed and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{option}={token}"
         else:
             out.append(token)
-            i += 1
     return out
 
 

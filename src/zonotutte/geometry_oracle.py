@@ -7,8 +7,11 @@ spanned by n - 1 of them (zonotope_hrep), then counts the lattice points
 of the coordinate bounding box that satisfy the inequalities (closed) or
 satisfy them strictly (interior).  The facet normals are signed
 (n - 1) x (n - 1) minors of the generators, which this module takes by
-its own Bareiss elimination (_bareiss); it shares no elimination with the
-lattice kernel of the polynomial side.
+its own Bareiss elimination (_bareiss): the facet normals and the point
+counts share no elimination with the lattice kernel of the polynomial
+side.  Two calls do run that kernel's Hermite inserts: zonotope_hrep
+checks rank with exact_linalg.check_full_rank, and
+find_positive_functional reads pivot coordinates off exact_linalg.span.
 
 Why strictness against possibly redundant inequalities classifies interiors
 correctly: the zonotope here is full-dimensional (rank X = n), so any valid
@@ -383,7 +386,7 @@ def find_positive_functional(X: VectorList) -> tuple[int, ...] | None:
     n = X.dim
     if len(X) == 0:
         return tuple(1 if j == 0 else 0 for j in range(n))
-    pivots = [next(j for j, x in enumerate(row) if x) for row in exact_linalg.span(X.vectors)]
+    pivots = exact_linalg._pivots(exact_linalg.span(X.vectors))
     projected = [tuple(v[j] for j in pivots) for v in X.vectors]
     total = [0] * len(pivots)
     for normal in _normals(projected, len(pivots)):

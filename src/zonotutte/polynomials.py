@@ -53,7 +53,7 @@ class BiPoly:
 
     def specialize_y(self, value: int) -> "UniPoly":
         """Substitute an integer for y, leaving a UniPoly in x."""
-        coeffs = [0] * (self.degree_x + 1 if self._terms else 1)
+        coeffs = [0] * (self.degree_x + 1)
         for (i, j), c in self._terms.items():
             coeffs[i] += c * value**j
         return UniPoly(coeffs)

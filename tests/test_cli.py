@@ -75,6 +75,24 @@ class TestTutteCommand:
         separate = run_cli(capsys, "tutte", "--vectors", "-3,0;1,1")
         assert joined[0] == 0
         assert separate == joined
+        # an abbreviated list option takes the value as the full name does
+        volume = [
+            run_cli(capsys, "volume", *spec)
+            for spec in (["--vec", "-3,0;0,2"], ["--vectors", "-3,0;0,2"], ["--vectors=-3,0;0,2"])
+        ]
+        assert volume[0][0] == 0
+        assert volume == [volume[0]] * 3
+        for option in ("--q-li", "--q-list"):
+            code, _, err = run_cli(capsys, "verify", option, "-1,2", "--vectors", "3,0;0,2")
+            assert (code, err) == (5, "error: every q must be >= 1\n")
+        # "--" still ends the options: -3 is the input file's name
+        code, _, err = run_cli(capsys, "volume", "--", "-3")
+        assert code == 2 and err.startswith("error: cannot read input")
+        # before the command, "--v" abbreviates --version
+        with pytest.raises(SystemExit) as exc:
+            main(["--v", "-3"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"zonotutte {zonotutte.__version__}\n"
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "tutte", "--vectors", "3,0;0,2;1,1")
@@ -96,6 +114,62 @@ class TestTutteCommand:
         )
         assert code == 0
         assert out.splitlines()[-1].startswith("timing_ms: ")
+
+
+class TestParser:
+    USAGE = {
+        (): """usage: zonotutte [-h] [--version]
+                 {tutte,ehrhart,count,volume,interior,verify} ...
+""",
+        ("tutte",): """usage: zonotutte tutte [-h] [--vectors VECTORS] [--pretty] [--timing]
+                       [--max-subsets N] [--classical]
+                       [input]
+""",
+        ("ehrhart",): """usage: zonotutte ehrhart [-h] [--vectors VECTORS] [--pretty] [--timing]
+                         [--max-subsets N]
+                         [input]
+""",
+        ("count",): """usage: zonotutte count [-h] [--vectors VECTORS] [--pretty] [--timing]
+                       [--max-subsets N] [--q Q]
+                       [input]
+""",
+        ("volume",): """usage: zonotutte volume [-h] [--vectors VECTORS] [--pretty] [--timing]
+                        [--max-subsets N]
+                        [input]
+""",
+        ("interior",): """usage: zonotutte interior [-h] [--vectors VECTORS] [--pretty] [--timing]
+                          [--max-subsets N] [--q Q]
+                          [input]
+""",
+        ("verify",): """usage: zonotutte verify [-h] [--vectors VECTORS] [--pretty] [--timing]
+                        [--max-subsets N] [--q-list Q,Q,...] [--oracle]
+                        [--max-box N]
+                        [input]
+""",
+    }
+
+    @pytest.mark.parametrize("command", list(USAGE), ids=lambda c: c[0] if c else "zonotutte")
+    def test_usage_lines(self, capsys, monkeypatch, command):
+        # argparse wraps help at the COLUMNS width
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out[: out.index("\n\n") + 1] == self.USAGE[command]
+
+    def test_list_options_are_options_of_a_command(self):
+        import argparse
+
+        import zonotutte.cli as cli
+
+        sub = next(
+            action
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        names = {name for p in sub.choices.values() for name in p._option_string_actions}
+        assert set(cli._LIST_OPTIONS) <= names
 
 
 class TestReportEnvelope:

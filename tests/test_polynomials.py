@@ -115,6 +115,7 @@ class TestCanonicalForm:
     def test_zero_terms_dropped(self):
         assert BiPoly({(1, 1): 0, (0, 0): 3}) == BiPoly({(0, 0): 3})
         assert BiPoly({}).sorted_terms() == []
+        assert BiPoly({}).specialize_y(1) == UniPoly([])
 
     def test_integer_coefficients_required(self):
         with pytest.raises(TypeError):
