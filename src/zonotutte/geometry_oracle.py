@@ -36,9 +36,10 @@ cap and floor, so the line's closed interval of t costs one floor
 division per end, whatever the number of rows.  Interior points satisfy
 every row strictly, and c.p < d is c.p <= d - 1 on integer points: on a
 line, the open interval is the closed one less each end whose bound is
-an integer, and a line on which a flat is tight, a facet parallel to the
-axis, has none.  A flat is tight only at an end of the slab's range of b
-where it divides exactly, or on the whole slab when c_b = 0 and s = 0.
+an integer, and the flats give the lines that hold interior points by
+the same floor division with slack s - 1.  That open range of b is the
+closed one, less an end where a flat divides exactly, and is empty where
+a flat has c_b = 0 and s = 0, a facet parallel to the whole slab.
 
 Every zonotope is centrally symmetric (Shephard 1974): p -> q sum(X) - p
 maps q Z(X) onto itself, and swaps each facet row (c, d) with its opposite
@@ -255,26 +256,21 @@ def _closed_open_walk(
     lo_b, hi_b = ranges[b]
 
     def slab(slacks: list[int]) -> tuple[int, int]:
-        # the flats bound b to [start, stop]; a line lies on a facet
-        # parallel to the axis where a flat's slack is 0: at start or stop
-        # if that end is an exact quotient, or on the whole slab
-        start, stop = lo_b, hi_b
-        at_start = at_stop = whole = False
+        # the flats c_b b <= s bound b to [start, stop], and b of a line
+        # with interior points to [open_start, open_stop] by c_b b <= s - 1,
+        # which no b meets when c_b = 0 and s = 0
+        start, stop = open_start, open_stop = lo_b, hi_b
         for c, s in zip(flat_b, slacks[v:]):
             if c > 0:
-                top, rem = divmod(s, c)
-                if top <= stop:
-                    at_stop = rem == 0 or (top == stop and at_stop)
-                    stop = top
+                stop = min(stop, s // c)
+                open_stop = min(open_stop, (s - 1) // c)
             elif c < 0:
-                bottom, rem = divmod(s, -c)
-                if -bottom >= start:
-                    at_start = rem == 0 or (-bottom == start and at_start)
-                    start = -bottom
-            elif s <= 0:
-                if s < 0:
-                    return 0, 0
-                whole = True
+                start = max(start, -(s // -c))
+                open_start = max(open_start, -((s - 1) // -c))
+            elif s < 0:
+                return 0, 0
+            elif s == 0:
+                open_stop = lo_b - 1
         if start > stop:
             return 0, 0
         cap_env = _envelope(cap_lines, slacks[:u], stop)
@@ -299,9 +295,8 @@ def _closed_open_walk(
             if points <= 0:
                 continue
             closed += points
-            if whole or (y == start and at_start) or (y == stop and at_stop):
-                continue
-            opened += max(0, points - (cap_rem == 0) - (floor_rem == 0))
+            if open_start <= y <= open_stop:
+                opened += max(0, points - (cap_rem == 0) - (floor_rem == 0))
         return closed, opened
 
     def walk(depth: int, slacks: list[int], tied: bool) -> tuple[int, int]:
@@ -445,18 +440,12 @@ def partition_function(X: VectorList, target: Sequence[int]) -> int:
             raise CapExceeded(f"partition search passed {MAX_PARTITION_NODES} nodes")
         if idx == last:
             return _solutions_single(vectors[idx], remaining)
-        w = weights[idx]
-        cap = budget // w
-        if cap < 0:
-            return 0
-        vec = vectors[idx]
+        w, vec = weights[idx], vectors[idx]
         total = 0
-        current = list(remaining)
-        for step in range(cap + 1):
-            if step:
-                for j in range(len(current)):
-                    current[j] -= vec[j]
-            total += search(tuple(current), budget - step * w, idx + 1)
+        for step in range(budget // w + 1):
+            # remaining is the target of this node less step copies of vec
+            total += search(remaining, budget - step * w, idx + 1)
+            remaining = tuple(map(sub, remaining, vec))
         return total
 
     budget = sum(c * t for c, t in zip(functional, lam))

@@ -85,9 +85,14 @@ class TestTutteCommand:
         for option in ("--q-li", "--q-list"):
             code, _, err = run_cli(capsys, "verify", option, "-1,2", "--vectors", "3,0;0,2")
             assert (code, err) == (5, "error: every q must be >= 1\n")
-        # "--" still ends the options: -3 is the input file's name
+        # "--" still ends the options: -3 is the input file's name, and
+        # nothing after it is merged, so argparse refuses the stray -3
         code, _, err = run_cli(capsys, "volume", "--", "-3")
         assert code == 2 and err.startswith("error: cannot read input")
+        with pytest.raises(SystemExit) as exc:
+            main(["volume", "--", "--vectors", "-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: -3\n")
         # before the command, "--v" abbreviates --version
         with pytest.raises(SystemExit) as exc:
             main(["--v", "-3"])

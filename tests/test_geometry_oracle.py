@@ -521,3 +521,10 @@ class TestPartitionFunction:
             partition_function(X, (20, 20))
         # the cap counts the search's nodes, which grow with the target
         assert partition_function(X, (2, 2)) == 4
+        # the search visits exactly 7,294 nodes for (20, 20): one per
+        # prefix of step counts within the functional's budget
+        monkeypatch.setattr(geometry_oracle, "MAX_PARTITION_NODES", 7294)
+        assert partition_function(X, (20, 20)) == 121
+        monkeypatch.setattr(geometry_oracle, "MAX_PARTITION_NODES", 7293)
+        with pytest.raises(CapExceeded, match="passed 7293 nodes"):
+            partition_function(X, (20, 20))

@@ -186,6 +186,21 @@ def test_the_two_ehrhart_routes_stay_apart():
     assert imports.get("tutte_core", set()) <= {"MAX_LIST_SIZE", "TutteResult", "check_input"}
 
 
+def test_the_oracle_takes_only_its_listed_names_from_the_kernel():
+    # the oracle's facet normals and point counts share no elimination with
+    # the polynomial side: of exact_linalg it takes the list record, the
+    # rank check, span and its pivot columns, and the integer check, by a
+    # from-import or as an exact_linalg.<name> attribute
+    path = PACKAGE / "geometry_oracle.py"
+    taken = _relative_imports("geometry_oracle").get("exact_linalg", set()) - {"*"}
+    taken |= {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "exact_linalg"
+    }
+    assert taken == {"VectorList", "check_full_rank", "span", "_pivots", "_check_int"}
+
+
 # defaults no call in src passes, each with the reason it stays
 DEFAULTS_WITHOUT_A_CALLER = {
     # cli._cmd_tutte calls it through the name compute, with max_list_size
