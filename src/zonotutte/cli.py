@@ -21,7 +21,9 @@ exempt from that guarantee.
 Exit codes: 0 success (and, for verify, every identity passed); 1 an
 identity failed in verify; 2 malformed input; 3 input does not span its
 ambient space (DimensionDeficient); 4 an enumeration cap was exceeded
-(CapExceeded); 5 invalid dilation factor (q < 1).
+(CapExceeded); 5 invalid dilation factor (q < 1); 141 stdout was closed
+before the report was written (a reader such as head quit early), with
+no traceback.
 
 ehrhart, count, volume and interior read E off the k-vector sum
 (ehrhart_via_independent_sets) and never build M_X; tutte and verify build
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -70,6 +73,8 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_CAP = 4
 EXIT_BAD_Q = 5
+# 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
+EXIT_BROKEN_PIPE = 141
 
 
 class InputError(Exception):
@@ -471,4 +476,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # flush here, where a closed stdout can still be caught
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so the flush at
+        # interpreter exit has no closed pipe to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

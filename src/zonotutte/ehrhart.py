@@ -55,7 +55,9 @@ def ehrhart_via_independent_sets(
     that its first nonzero coordinate is positive, to the number of such
     sublists.  Adding v maps w to w ^ v; a zero result is a dependent
     sublist and is dropped.  The coefficient of q^k is the sum of
-    count * gcd(w).
+    count * gcd(w).  An n-subset's k-vector is one number, its
+    determinant, so the coefficient of q^n takes count * gcd(det) as each
+    n-subset is met, and no level-n table is kept.
     """
     check_input(X, max_list_size)
     n = X.dim
@@ -69,10 +71,16 @@ def ehrhart_via_independent_sets(
             [((-1) ** (k + j), S[j], index[S[:j] + S[j + 1 :]]) for j in range(k + 1)]
             for S in combinations(range(n), k + 1)
         ])
-    counts: list[dict[tuple[int, ...], int]] = [{(1,): 1}] + [{} for _ in range(n)]
+    # the levels below n (level 0 alone when n = 0)
+    counts: list[dict[tuple[int, ...], int]] = [{(1,): 1}] + [{} for _ in range(n - 1)]
+    top = 0
     for v in X.vectors:
         for k in range(n - 1, -1, -1):
             terms = [[(sign * v[i], t) for sign, i, t in rule if v[i]] for rule in rules[k]]
+            if k + 1 == n:
+                (term,) = terms
+                top += sum(c * gcd(sum(a * w[t] for a, t in term)) for w, c in counts[k].items())
+                continue
             target = counts[k + 1]
             for w, c in counts[k].items():
                 u = [sum(a * w[t] for a, t in term) for term in terms]
@@ -80,7 +88,8 @@ def ehrhart_via_independent_sets(
                 if lead:
                     key = tuple(u) if lead > 0 else tuple(-x for x in u)
                     target[key] = target.get(key, 0) + c
-    return UniPoly([sum(c * gcd(*w) for w, c in level.items()) for level in counts])
+    E = [sum(c * gcd(*w) for w, c in level.items()) for level in counts]
+    return UniPoly(E + [top] if n else E)
 
 
 def interior_polynomial(E: UniPoly) -> UniPoly:

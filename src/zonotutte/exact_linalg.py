@@ -18,11 +18,18 @@ determinant is taken here: the geometric oracle computes its own
 minors, and the independent-set Ehrhart sum (ehrhart module) uses none
 of this.
 
-A full-rank lattice whose key has at most one pivot != 1 is cyclic: it
-is { x : c . x = 0 mod m }, with m its index.  cyclic_key reads the pair
-(m, c) off the key, and cyclic_insert adds a vector to such a lattice by
-one dot product and one gcd, no elimination; the Tutte sum keys those
-lattices by the pair.
+A full-rank lattice L whose quotient Z^n / L is cyclic is
+{ x : c . x = 0 mod m }, with m its index and c a character of order m,
+unique up to a unit mod m.  cyclic_key gives the pair (m, c), with c in
+the normal form of character_key, so the pair is as unique as the
+Hermite key: read off the key when it has at most one pivot != 1, None
+at once when the subgroup its first two pivots != 1 give is not cyclic,
+and otherwise found by folding the characters that the columns of
+m H^-1 define.  cyclic_insert adds a vector to such a lattice by one dot product and
+one gcd, no elimination, and keeps the normal form; the Tutte sum keys
+those lattices by the pair.  A lattice of rank n - 1 whose normal z has
+gcd 1 and a vector v with z . v != 0 span { x : z . x = 0 mod |z . v| },
+whose key is character_key(|z . v|, z), with no Hermite insert.
 
 The Tutte sum stores no lattice for the last vector v it walks.  At
 full rank, insert_multiplicity reads m(L + Zv) = gcd(D, y) off one
@@ -295,27 +302,115 @@ def lattice_multiplicity(basis: Lattice) -> int:
 CyclicKey = tuple[int, tuple[int, ...]]
 
 
-def cyclic_key(basis: Lattice) -> CyclicKey | None:
-    """The key (m, c) of a full-rank canonical basis (see hnf_insert) with
-    at most one pivot != 1, or None if it has two.
+def character_key(m: int, c: Sequence[int]) -> CyclicKey:
+    """The key (m, c') of the lattice { x : c . x = 0 mod m }, for m >= 1
+    and c with gcd(m, *c) = 1, so that x -> c . x mod m maps Z^n onto Z/m
+    and the lattice has index m.
 
-    Such a lattice is cyclic: with p the column of its pivot m != 1, it is
-    { x : c . x = 0 mod m } for c_p = 1, c_i = -basis[i][p] mod m for
-    i < p and c_i = 0 for i > p, and m is its index in Z^n.  The pair is
-    as unique as the basis, and Z^n, with no pivot != 1, is (1, (0, ...,
-    0)).  The diagonal is scanned only up to its second pivot != 1.
+    The characters with that kernel are the u c for the units u mod m.  c'
+    is the one in normal form: entries in [0, m), and for every prime
+    p | m the last entry prime to p is 1 mod p^e, p^e the power of p in
+    m.  m is not factored: from the last entry x up, the part b of the
+    modulus left that is prime to x (the primes for which x is that last
+    entry) is split off by repeated gcds, and one CRT step makes u = 1/x
+    mod b.
+    """
+    u, done, left = 0, 1, m
+    for x in reversed(c):
+        if left == 1:
+            break
+        b, g = left, math.gcd(left, x)
+        while g != 1:
+            b //= g
+            g = math.gcd(b, g)
+        if b != 1:
+            u += done * ((pow(x, -1, b) - u) * pow(done, -1, b) % b)
+            done *= b
+            left //= b
+    return m, tuple([u * x % m for x in c])
+
+
+def _folded_key(basis: Lattice) -> CyclicKey | None:
+    """cyclic_key's fold (see there) over the columns of m H^-1 at the
+    pivots != 1."""
+    n = len(basis)
+    big = [k for k in range(n) if basis[k][k] != 1]
+    m = math.prod(basis[k][k] for k in big)
+    c, order, size = [0] * n, 1, 1
+    for k in big:
+        # H y = m e_k by back-substitution from row k up, as in
+        # hyperplane_normal: y is 0 after k, and row i is 0 before i
+        y = [0] * n
+        y[k] = m // basis[k][k]
+        for i in range(k - 1, -1, -1):
+            y[i] = -sum(map(mul, basis[i], y)) // basis[i][i]
+        o = m // math.gcd(m, *y)
+        # a | order and b | o, coprime, with a * b = lcm(order, o)
+        a, b = order, o // math.gcd(order, o)
+        while (g := math.gcd(a, b)) != 1:
+            a, b = a // g, b * g
+        size *= basis[k][k]
+        if a * b != size:
+            return None
+        c = [(order // a * s + o // b * t) % m for s, t in zip(c, y)]
+        order = size
+    return character_key(m, c)
+
+
+def cyclic_key(basis: Lattice, folds: dict | None = None) -> CyclicKey | None:
+    """The key (m, c) of a full-rank canonical basis H (see hnf_insert)
+    whose quotient Z^n / L is cyclic, or None when it is not (when the gcd
+    of the (n - 1) x (n - 1) minors is not 1).
+
+    A cyclic L is { x : c . x = 0 mod m }, with m its index in Z^n, for a
+    character c unique up to a unit mod m; the key takes c in the normal
+    form of character_key, so it is as unique as the basis, and Z^n is
+    (1, (0, ..., 0)).  With at most one pivot != 1, at column p, c is read
+    off the basis: c_p = 1, c_i = -basis[i][p] mod m for i < p (the rows
+    with pivot 1 above p are zero in the other pivot-1 columns) and 0
+    after p, already in normal form.  A column of H whose pivot is 1 is a
+    unit vector, so e_j = 0 in Z^n / L for it.  With the first two
+    pivots != 1 at p < i, the subgroup that e_0, ..., e_i generate is
+    then e_p and e_i with h_pp e_p = 0 and h_pi e_p + h_ii e_i = 0, which
+    is cyclic exactly when gcd(h_pp, h_pi, h_ii) = 1.  When it is not,
+    neither is the quotient: None, at once.  That covers every basis
+    whose entries share a factor, as every full-rank lattice of qX,
+    q >= 2, does.
+
+    Otherwise the columns y_k = m H^-1 e_k of the pivots != 1, each one
+    back-substitution, are characters of orders o_k = m / gcd(m, y_k);
+    those with k <= j generate the characters of the subgroup that
+    e_0, ..., e_j generate in Z^n / L, whose order is the product of the
+    pivots up to j.  They are folded, k = 0 up, into one character of
+    order lcm(o_k), by splitting each lcm into coprime parts a | o and
+    b | o_k by repeated gcds.  A cyclic group has cyclic subgroups only,
+    so L is cyclic exactly when the order reached equals the product of
+    the pivots so far at every k, and the fold stops at the first k where
+    it does not.  folds, where given, keeps each fold's result by basis,
+    for a caller that meets one lattice many times.
     """
     p = -1
     for i, row in enumerate(basis):
         if row[i] != 1:
             if p >= 0:
-                return None
+                break
             p = i
-    n = len(basis)
-    if p < 0:
-        return 1, (0,) * n
-    m = basis[p][p]
-    return m, tuple([-row[p] % m for row in basis[:p]] + [1] + [0] * (n - 1 - p))
+    else:
+        n = len(basis)
+        if p < 0:
+            return 1, (0,) * n
+        m = basis[p][p]
+        return m, tuple([-row[p] % m for row in basis[:p]] + [1] + [0] * (n - 1 - p))
+    # the first two pivots != 1 sit at p < i (see the docstring)
+    if math.gcd(basis[p][p], basis[p][i], basis[i][i]) != 1:
+        return None
+    if folds is None:
+        return _folded_key(basis)
+    # a basis not folded yet maps to itself
+    key = folds.get(basis, basis)
+    if key is basis:
+        key = folds[basis] = _folded_key(basis)
+    return key
 
 
 def cyclic_insert(key: CyclicKey, v: Sequence[int]) -> CyclicKey:
@@ -323,8 +418,11 @@ def cyclic_insert(key: CyclicKey, v: Sequence[int]) -> CyclicKey:
 
     Z^n / L is Z/m through x -> c . x mod m, so L + Zv is the preimage of
     the subgroup that a = c . v mod m generates, { x : c . x = 0 mod g }
-    with g = gcd(a, m).  Its key is (g, c mod g): c_p = 1 and the zeros
-    after p stay, and g = 1 gives Z^n.  If a = 0, key itself is returned.
+    with g = gcd(a, m).  Its key is (g, c mod g), in normal form again
+    (see character_key): for a prime p | g the entries of c mod g are
+    prime to p where those of c are, so the last such entry is the same
+    one, and 1 mod p^e for the power p^e in m is 1 mod the power in g;
+    g = 1 gives Z^n.  If a = 0, key itself is returned.
     """
     m, c = key
     a = sum(map(mul, c, v)) % m

@@ -19,14 +19,25 @@ the state table is updated in place: a skipped vector moves no state,
 and each state's counts from before the vector, read off a snapshot of
 the table, are added to the lattice it grows to.  Lattices are keyed by
 their canonical Hermite normal form, and m(L) is computed once per
-lattice at the end, with one exception.  A full-rank lattice whose form
-has at most one pivot != 1 is cyclic, { x : c . x = 0 mod m } with
-m = m(L), and the table keys it by (m, c) instead
-(exact_linalg.cyclic_key), whose first entry is an int where a Hermite
-basis has a row: a vector enters it by one dot product and one gcd
-instead of a Hermite insert, the lattice it grows to is cyclic again,
-and m is read off the key.  A Hermite insert whose result has that form
-stores it under its (m, c) key, so every lattice has exactly one key.
+lattice at the end, with one exception.  A full-rank lattice whose
+quotient Z^n / L is cyclic is { x : c . x = 0 mod m } with m = m(L), and
+the table keys it by (m, c) instead (exact_linalg.cyclic_key, c in a
+normal form that makes the pair unique), whose first entry is an int
+where a Hermite basis has a row: a vector enters it by one dot product
+and one gcd instead of a Hermite insert, the lattice it grows to is
+cyclic again, and m is read off the key.  A Hermite insert whose result
+has full rank and a cyclic quotient stores it under its (m, c) key, so
+every lattice has exactly one key.  cyclic_key rejects many other
+results at once (every full-rank lattice of qX, q >= 2, among them);
+what it has to fold, it folds once per basis and call, in a dict the
+call keeps.  A state of rank n - 1 takes its hyperplane's normal z
+(exact_linalg.hyperplane_normal) once per call, in a dict that the
+walk and the last step share; the walk skips the states whose last
+Hermite row has a common factor, which are not saturated.  When a state
+is saturated, gcd(z) = 1, it is every integer point of its hyperplane,
+so v with z . v = 0 lies in it and leaves it as it is, and any other v
+grows it to { x : z . x = 0 mod |z . v| }, keyed by
+exact_linalg.character_key(|z . v|, z), with no Hermite insert.
 X is walked sorted by the last nonzero coordinate of each vector, zero
 vectors first: the sum does not depend on the order, and sparse lists
 such as root systems keep fewer lattices in the early steps that way.
@@ -39,10 +50,10 @@ lattices it makes, so each state L adds its counts straight to the
 cyclic state (m, c) gives (n, gcd(c . v, m)); a full-rank Hermite state,
 with D = m(L) the product of its pivots and D v = y . L, gives
 (n, gcd(D, y)) (exact_linalg.insert_multiplicity); a state of rank n - 1
-has m(L) = gcd(z), for z its hyperplane's normal
-(exact_linalg.hyperplane_normal), and gives (n, |z . v|) when v leaves
-its span.  Every other state, and the lattice a Hermite insert of v
-makes from it, go to one table, where m is computed once per lattice.
+has m(L) = gcd(z) and gives (n, |z . v|) when v leaves its span, and
+(n - 1, gcd(z)) when v lies in L.  Every other state, and the lattice a
+Hermite insert of v makes from it, go to one table, where m is computed
+once per lattice.
 
 The counts of one lattice are packed into one integer, a field of
 |X| + 1 bits per size s; the sublists of size s number
@@ -67,6 +78,7 @@ from .exact_linalg import (
     CyclicKey,
     Lattice,
     VectorList,
+    character_key,
     check_full_rank,
     cyclic_insert,
     cyclic_key,
@@ -113,13 +125,19 @@ def _walk_order(X: VectorList) -> list[tuple[int, ...]]:
 
 
 def _lattice_tables(
-    X: VectorList, vectors: Sequence[tuple[int, ...]]
+    X: VectorList, vectors: Sequence[tuple[int, ...]], normals: dict | None = None
 ) -> dict[Lattice | CyclicKey, int]:
     """The states of the sum after walking vectors, a sequence drawn from
     X: every lattice spanned by a sublist of them, with its packed counts,
     keyed by cyclic_key where it has one and by its Hermite basis
-    otherwise."""
+    otherwise.  normals collects the hyperplane normals the walk takes,
+    for the last step to read."""
     n = X.dim
+    hyper = n - 1
+    if normals is None:
+        normals = {}
+    # the fold of each full-rank Hermite basis met, for this call only
+    folds: dict[Lattice, CyclicKey | None] = {}
     # states[L] holds, for each size s, the number of sublists of size s
     # spanning L, packed into bits [s*width, (s+1)*width) of one integer.
     # A count is at most C(|X|, s) < 2^width, so fields never carry into
@@ -131,32 +149,41 @@ def _lattice_tables(
         # keeps the counts from before v, which are the ones v extends
         for L, packed in list(states.items()):
             # a cyclic key (m, c) starts with an int, a Hermite basis with a
-            # row; a Hermite lattice v leaves as it is keeps its key
+            # row; a Hermite lattice v leaves as it is keeps its key, and a
+            # saturated one of rank n - 1 holds every integer v of its span.
+            # Every Hermite row of a saturated lattice is primitive, so a
+            # last row with a common factor (most rank-(n - 1) states that
+            # are not saturated, and every one of qX, q >= 2) rules
+            # saturation out without a lookup of the normal
             if L and type(L[0]) is int:
                 grown = cyclic_insert(L, v)
+            elif len(L) == hyper and L and gcd(*L[-1]) == 1 and gcd(
+                *(z := normals.get(L) or normals.setdefault(L, hyperplane_normal(L, n)))
+            ) == 1:
+                grown = character_key(abs(w), z) if (w := sum(map(mul, z, v))) else L
             elif (grown := hnf_insert(L, v)) is not L and len(grown) == n:
-                grown = cyclic_key(grown) or grown
+                grown = cyclic_key(grown, folds) or grown
             states[grown] = states.get(grown, 0) + (packed << width)
     return states
 
 
 def _last_step_groups(
-    states: dict[Lattice | CyclicKey, int], v: tuple[int, ...], width: int
+    states: dict[Lattice | CyclicKey, int], v: tuple[int, ...], width: int, normals: dict
 ) -> dict[tuple[int, int], int]:
     """The packed counts of the whole sum by (rank, m), from the states
     left before the last vector v: each state adds its counts under its
     own (rank, m), for the sublists that skip v, and one size up under
     those of L + Zv, for the sublists that add it; no lattice of the
-    last step is stored (see the module docstring)."""
+    last step is stored (see the module docstring).  normals holds the
+    hyperplane normals the walk took."""
     n = len(v)
     # summing the packed counts of the lattices of one (rank, m) carries
     # no field: the group's field for size s counts at most C(|X|, s)
     # sublists, as one lattice's does
     groups: dict[tuple[int, int], int] = {}
-    # (rank, m) of L + Zv is read off L's key, and off its basis at rank n
-    # and at rank n - 1 when v leaves the span; every other state, and the
-    # lattice v grows it to, go to rest, so m is computed once per lattice
-    # there
+    # (rank, m) of L + Zv is read off L's key, and off its basis at ranks n
+    # and n - 1; every other state, and a lattice v grows it to, go to
+    # rest, so m is computed once per lattice there
     rest: dict[Lattice, int] = {}
     for L, packed in states.items():
         if L and type(L[0]) is int:
@@ -165,8 +192,18 @@ def _last_step_groups(
         elif (r := len(L)) == n:
             m = lattice_multiplicity(L)
             grown = (n, insert_multiplicity(L, m, v))
-        elif r + 1 == n and (w := sum(map(mul, (z := hyperplane_normal(L, n)), v))):
-            m, grown = gcd(*z), (n, abs(w))
+        elif r + 1 == n:
+            z = normals.get(L) or hyperplane_normal(L, n)
+            m = gcd(*z)
+            if w := sum(map(mul, z, v)):
+                grown = (n, abs(w))
+            elif (grown := hnf_insert(L, v)) is L:
+                grown = (r, m)
+            else:
+                # v lies in the span of L but not in L
+                rest[grown] = rest.get(grown, 0) + (packed << width)
+                groups[r, m] = groups.get((r, m), 0) + packed
+                continue
         else:
             rest[L] = rest.get(L, 0) + packed
             grown = hnf_insert(L, v)
@@ -186,8 +223,9 @@ def _tutte_sum(X: VectorList, weighted: bool, max_list_size: int) -> TutteResult
     width = len(X) + 1
     ordered = _walk_order(X)
     if ordered:
-        states = _lattice_tables(X, ordered[:-1])
-        groups = _last_step_groups(states, ordered[-1], width)
+        normals: dict[Lattice, list[int]] = {}
+        states = _lattice_tables(X, ordered[:-1], normals)
+        groups = _last_step_groups(states, ordered[-1], width, normals)
     else:
         # the empty list spans Z^0: one sublist, of rank 0 and m = 1
         groups = {(0, 1): 1}

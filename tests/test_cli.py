@@ -1023,6 +1023,23 @@ class TestConsoleEntry:
             for python, proc in zip(others, runs[1:]):
                 assert (proc.returncode, proc.stdout) == (0, runs[0].stdout), (python, argv)
 
+    def test_a_closed_stdout_exits_141_without_a_traceback(self):
+        # the read end is closed before the child starts, so its first
+        # write of the report meets a broken pipe
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zonotutte", "tutte", "--vectors", "1,0;0,1;1,1;2,3;5,-1"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=child_env(),
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
     def test_stdin_that_is_not_utf8_is_malformed(self):
         # a strict stdin decoder would raise before json.loads saw the input
         proc = subprocess.run(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from zonotutte import IntMatrix, VectorList, multiplicity, rank
 from zonotutte.exact_linalg import (
     _step,
+    character_key,
     cyclic_insert,
     cyclic_key,
     hnf_insert,
@@ -374,35 +375,70 @@ def test_insert_chains_match_the_reference_kernel(case):
 
 @st.composite
 def full_rank_spans(draw):
-    """(n, basis): the canonical basis of the span of n or n + 1 random
-    vectors in Z^n, n in 1..6, when that span has full rank."""
+    """(n, basis): the canonical basis of a full-rank lattice in Z^n, n in
+    1..6.  Either the span of n or n + 1 random vectors, when that span
+    has full rank, or, for n >= 2, an upper triangular basis with two
+    coprime pivots != 1 and random entries above the diagonal, whose
+    quotient is cyclic."""
     n = draw(st.integers(1, 6))
     entries = draw(st.sampled_from([NEAR_1E20, st.integers(-5, 5)]))
-    basis = span(draw(st.lists(st.tuples(*[entries] * n), min_size=n, max_size=n + 1)))
-    assume(len(basis) == n)
-    return n, basis
+    if n == 1 or draw(st.booleans()):
+        basis = span(draw(st.lists(st.tuples(*[entries] * n), min_size=n, max_size=n + 1)))
+        assume(len(basis) == n)
+        return n, basis
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    a = draw(st.sampled_from([2, 3, 4, 8, 9, 25, 10**20 + 1]))
+    b = draw(st.integers(2, 60).filter(lambda b: math.gcd(a, b) == 1))
+    diagonal = [a if k == i else b if k == j else 1 for k in range(n)]
+    rows = [
+        tuple(diagonal[k] if t == k else draw(entries) if t > k else 0 for t in range(n))
+        for k in range(n)
+    ]
+    return n, span(rows)
+
+
+def in_normal_form(m, c):
+    """Entries in [0, m), and for each prime p | m the last entry prime to
+    p is 1 mod the power of p in m; m is factored by trial division."""
+    if not all(0 <= x < m for x in c):
+        return False
+    rest, p = m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p:
+            p += 1
+            continue
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        units = [x for x in c if x % p]
+        if not units or units[-1] % q != 1 % q:
+            return False
+    return True
 
 
 @settings(max_examples=200, deadline=None)
-@given(full_rank_spans())
-def test_cyclic_key_reads_the_lattice(case):
-    # a key exists exactly when at most one pivot is not 1; then m is the
-    # index, c_p = 1 with zeros after p and entries in [0, m) before it,
-    # and every basis row x has c . x = 0 mod m
+@given(full_rank_spans(), st.integers(0, 2**32), st.integers(1, 10**6))
+def test_cyclic_key_reads_the_lattice(case, seed, unit):
+    # a key exists exactly when the (n - 1) x (n - 1) minors have gcd 1;
+    # then m is the index, every basis row x has c . x = 0 mod m, c is in
+    # normal form, and the key depends on the lattice alone: the same for
+    # other generators, and for any unit multiple of c
     n, basis = case
     key = cyclic_key(basis)
-    others = [i for i in range(n) if basis[i][i] != 1]
-    if len(others) > 1:
-        assert key is None
+    assert (key is not None) == (minor_gcd(basis, n, n - 1) == 1)
+    if key is None:
         return
     m, c = key
     assert m == math.prod(basis[i][i] for i in range(n))
-    p = others[0] if others else n
-    assert c[p + 1 :] == (0,) * (n - p - 1)
-    assert all(0 <= x < m for x in c[:p])
-    if others:
-        assert c[p] == 1
     assert all(sum(a * x for a, x in zip(c, row)) % m == 0 for row in basis)
+    if m < 10**7:
+        assert in_normal_form(m, c)
+    assume(math.gcd(unit, m) == 1)
+    assert character_key(m, [unit * x for x in c]) == key
+    assert cyclic_key(span(change_generators(random.Random(seed), basis))) == key
 
 
 def test_cyclic_key_of_z_n_and_of_two_pivots():
@@ -411,9 +447,20 @@ def test_cyclic_key_of_z_n_and_of_two_pivots():
             1,
             (0,) * n,
         )
-    assert cyclic_key(span([(2, 0, 0), (0, 1, 0), (0, 0, 3)])) is None
+    # Z^3 / L is Z/2 x Z/3 = Z/6, though the form has two pivots != 1
+    assert cyclic_key(span([(2, 0, 0), (0, 1, 0), (0, 0, 3)])) == (6, (3, 0, 4))
     assert cyclic_key(span([(6, 0), (0, 1)])) == (6, (1, 0))
     assert cyclic_key(span([(1, 4), (0, 6)])) == (6, (2, 1))
+    # not cyclic: (Z/2)^2 and Z/2 x Z/6 by the common factor of rows 0 and
+    # 1, though the second has entries with gcd 1; Z/2 x Z/4 by the fold
+    assert cyclic_key(span([(2, 0), (0, 2)])) is None
+    assert cyclic_key(span([(2, 0, 1), (0, 2, 1), (0, 0, 3)])) is None
+    assert cyclic_key(span([(2, 0, 0), (0, 1, 0), (0, 0, 4)])) is None
+    # Z/8 and Z/8 again, with two and three pivots != 1
+    assert cyclic_key(span([(2, 1), (0, 4)])) == (8, (1, 6))
+    assert cyclic_key(span([(2, 1, 0), (0, 2, 1), (0, 0, 2)])) == (8, (1, 6, 4))
+    assert in_normal_form(6, (3, 0, 4)) and not in_normal_form(6, (3, 0, 2))
+    assert character_key(6, (3, 0, 2)) == (6, (3, 0, 4))
 
 
 @settings(max_examples=200, deadline=None)
@@ -483,6 +530,43 @@ def test_hyperplane_normal_is_the_signed_maximal_minors(case):
     grown = hnf_insert(basis, v)
     dot = sum(a * b for a, b in zip(z, v))
     assert abs(dot) == (minor_gcd(grown, n, n) if len(grown) == n else 0)
+
+
+@st.composite
+def saturated_hyperplanes(draw):
+    """(n, basis, v): n - 1 rows of a random unimodular n x n matrix, n in
+    1..6, whose span is saturated, since they extend to a basis of Z^n,
+    and a vector v from anywhere (mostly off the span), from the span, or
+    zero."""
+    n = draw(st.integers(1, 6))
+    entries = draw(st.sampled_from([NEAR_1E20, st.integers(-5, 5)]))
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for a, b, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), entries))):
+        if a != b:
+            U[a] = [x + k * y for x, y in zip(U[a], U[b])]
+    basis = span(U[:-1])
+    kind = draw(st.sampled_from(["anywhere", "span", "zero"]))
+    if kind == "anywhere":
+        return n, basis, draw(st.tuples(*[entries] * n))
+    coefficients = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    v = [sum(a * row[i] for a, row in zip(coefficients, U)) for i in range(n)]
+    return n, basis, tuple(v) if kind == "span" else (0,) * n
+
+
+@settings(max_examples=150, deadline=None)
+@given(saturated_hyperplanes())
+def test_a_saturated_hyperplane_keys_the_grown_lattice_by_its_normal(case):
+    # for a rank-(n - 1) lattice with gcd(z) = 1 and v off its span, the
+    # lattice they span is { x : z . x = 0 mod |z . v| }, keyed as the
+    # Hermite insert and cyclic_key would key it; v in the span lies in L
+    n, basis, v = case
+    z = hyperplane_normal(basis, n)
+    assert math.gcd(*z) == 1
+    w = sum(a * b for a, b in zip(z, v))
+    if w:
+        assert character_key(abs(w), z) == cyclic_key(hnf_insert(basis, v))
+    else:
+        assert hnf_insert(basis, v) is basis
 
 
 def test_insert_multiplicity_cases():

@@ -291,6 +291,38 @@ def test_one_table_matches_the_single_table_reference(X):
                 assert cyclic_key(L) is None
 
 
+# the worked list, Pi_4, and the first list in Z^4 of the tutte-small
+# benchmark pool at seed 1 (bench/workloads.py), with how many states of
+# the tables the sum keeps before its last vector are keyed by a Hermite
+# basis and how many by a cyclic (m, c) key
+KEY_MIX = [
+    (WORKED, 3, 1),
+    (VectorList(3, [(1, -1, 0), (1, 0, -1), (1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 0, 1)]), 12, 1),
+    (
+        VectorList(
+            4,
+            [
+                (4, 0, -1, -5), (-4, -2, -2, 0), (-4, 0, 2, -1), (-4, 1, 4, -4),
+                (-3, 4, -2, -4), (-4, -1, 1, -3), (5, -1, 2, 4), (-4, -1, 1, 1),
+                (-4, 5, 4, 1), (0, -1, 4, 1), (5, 0, 5, -1), (-1, -2, -1, 4),
+            ],
+        ),
+        266,
+        350,
+    ),
+]
+
+
+@pytest.mark.parametrize("X, hermite, cyclic", KEY_MIX)
+def test_the_tables_key_every_cyclic_quotient_by_its_character(X, hermite, cyclic):
+    # reports stay the same whichever key a lattice gets, so the mix is
+    # pinned here: a change that stops keying some cyclic quotients by
+    # (m, c) moves these counts
+    states = _lattice_tables(X, _walk_order(X)[:-1])
+    keys = [isinstance(L[0], int) for L in states if L]
+    assert (len(states) - sum(keys), sum(keys)) == (hermite, cyclic)
+
+
 @st.composite
 def unimodular_matrices(draw, n):
     """Integer n x n matrices of determinant +-1: row negations and row
