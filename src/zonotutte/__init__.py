@@ -18,7 +18,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "errors": ("CapExceeded", "DimensionDeficient", "UnboundedCone", "ZonotutteError"),
+    "errors": ("CapExceeded", "DimensionDeficient", "ZonotutteError"),
     "exact_linalg": ("IntMatrix", "VectorList", "multiplicity", "rank"),
     "polynomials": (
         "BiPoly",
@@ -40,13 +40,7 @@ _EXPORTS = {
         "interior_polynomial",
         "scalar_corollaries",
     ),
-    "geometry_oracle": (
-        "HRep",
-        "closed_open_counts",
-        "find_positive_functional",
-        "partition_function",
-        "zonotope_hrep",
-    ),
+    "geometry_oracle": ("HRep", "closed_open_counts", "zonotope_hrep"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,9 +9,8 @@ satisfy them strictly (interior).  The facet normals are signed
 (n - 1) x (n - 1) minors of the generators, which this module takes by
 its own Bareiss elimination (_bareiss): the facet normals and the point
 counts share no elimination with the lattice kernel of the polynomial
-side.  Two calls do run that kernel's Hermite inserts: zonotope_hrep
-checks rank with exact_linalg.check_full_rank, and
-find_positive_functional reads pivot coordinates off exact_linalg.span.
+side.  One call does run that kernel's Hermite inserts: zonotope_hrep
+checks rank with exact_linalg.check_full_rank.
 
 Why strictness against possibly redundant inequalities classifies interiors
 correctly: the zonotope here is full-dimensional (rank X = n), so any valid
@@ -54,12 +53,6 @@ to its mirror, which exists only where every lo_j + hi_j before b is
 even, is walked whole and counts once.  In the plane (n = 2) the one slab
 is its own mirror and is walked whole; a segment (n = 1) is one such
 slab, of a zero-width range of b.
-
-The same hyperplane normals decide whether some functional is strictly
-positive on a list (find_positive_functional): on the pivot coordinates of
-the list's span, every extreme ray of the dual cone { c : c.x >= 0 } is
-such a normal up to sign, so the sum of the signed normals inside that
-cone is strictly positive on the list whenever any functional is.
 """
 
 from __future__ import annotations
@@ -71,12 +64,10 @@ from functools import cmp_to_key
 from itertools import combinations
 from operator import sub
 
-from . import exact_linalg
-from .errors import MAX_BOX_POINTS, CapExceeded, UnboundedCone
-from .exact_linalg import VectorList
+from .errors import MAX_BOX_POINTS, CapExceeded
+from .exact_linalg import VectorList, check_full_rank
 
 MAX_BRUTE_FORCE_DIM = 4
-MAX_PARTITION_NODES = 300_000  # calls of partition_function's search
 
 Row = tuple[tuple[int, ...], int]  # coeffs . v <= rhs
 
@@ -153,7 +144,7 @@ def zonotope_hrep(X: VectorList) -> HRep:
     are visited.
     """
     n = X.dim
-    exact_linalg.check_full_rank(X)
+    check_full_rank(X)
     if n > MAX_BRUTE_FORCE_DIM:
         raise CapExceeded(
             f"brute-force counting supports dimension <= {MAX_BRUTE_FORCE_DIM}, got {n}"
@@ -363,92 +354,3 @@ def closed_open_counts(
             f"facets, {work} line-facet pairs; cap is {max_box}"
         )
     return _closed_open_walk(rows, ranges)
-
-
-def find_positive_functional(X: VectorList) -> tuple[int, ...] | None:
-    """An integer c with c . a > 0 for every vector a of X, or None.
-
-    X is projected onto the pivot coordinates of its span, which is
-    injective on the span, so the projected list spans Q^r.  The dual cone
-    { c : c . y >= 0 } is then pointed, and each of its extreme rays is
-    tight on r - 1 independent vectors: it is c or -c for a _normals entry
-    c.  The sum of the signed normals that lie in the cone is therefore
-    interior to it, and strictly positive on X exactly when some functional
-    is.  The sum is lifted back with zeros off the pivot coordinates.  The
-    empty list returns the first unit vector (vacuous condition); a zero
-    vector gives None.
-    """
-    n = X.dim
-    if len(X) == 0:
-        return tuple(1 if j == 0 else 0 for j in range(n))
-    pivots = exact_linalg._pivots(exact_linalg.span(X.vectors))
-    projected = [tuple(v[j] for j in pivots) for v in X.vectors]
-    total = [0] * len(pivots)
-    for normal in _normals(projected, len(pivots)):
-        for c in (normal, tuple(-x for x in normal)):
-            if all(sum(a * y for a, y in zip(c, v)) >= 0 for v in projected):
-                total = [a + b for a, b in zip(total, c)]
-    lifted = [0] * n
-    for j, t in zip(pivots, total):
-        lifted[j] = t
-    if any(sum(a * x for a, x in zip(lifted, v)) <= 0 for v in X.vectors):
-        return None
-    return tuple(lifted)
-
-
-def _solutions_single(vector: tuple[int, ...], target: Sequence[int]) -> int:
-    """Number of integers x >= 0 with x * vector == target (vector nonzero)."""
-    j = next(i for i, c in enumerate(vector) if c)
-    num, den = target[j], vector[j]
-    if num % den:
-        return 0
-    x = num // den
-    if x < 0:
-        return 0
-    return 1 if all(x * c == t for c, t in zip(vector, target)) else 0
-
-
-def partition_function(X: VectorList, target: Sequence[int]) -> int:
-    """Number of ways to write the target as a nonnegative integer
-    combination of the list vectors.
-
-    Finiteness requires a functional that is strictly positive on every
-    vector; the search is a depth-first enumeration pruned by the integer
-    bound x_a <= (c . target) // (c . a) for the integer functional c of
-    find_positive_functional.  Target entries must be integers.  A search
-    that visits more than MAX_PARTITION_NODES nodes raises CapExceeded.
-    """
-    lam = tuple(exact_linalg._check_int(t) for t in target)
-    if len(lam) != X.dim:
-        raise ValueError(f"target has length {len(lam)}, expected {X.dim}")
-    functional = find_positive_functional(X)
-    if functional is None:
-        raise UnboundedCone("no functional is strictly positive on the whole list")
-    if len(X) == 0:
-        return 1 if not any(lam) else 0
-
-    vectors = list(X.vectors)
-    weights = [sum(c * x for c, x in zip(functional, v)) for v in vectors]
-    last = len(vectors) - 1
-
-    nodes = 0
-
-    def search(remaining: tuple[int, ...], budget: int, idx: int) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > MAX_PARTITION_NODES:
-            raise CapExceeded(f"partition search passed {MAX_PARTITION_NODES} nodes")
-        if idx == last:
-            return _solutions_single(vectors[idx], remaining)
-        w, vec = weights[idx], vectors[idx]
-        total = 0
-        for step in range(budget // w + 1):
-            # remaining is the target of this node less step copies of vec
-            total += search(remaining, budget - step * w, idx + 1)
-            remaining = tuple(map(sub, remaining, vec))
-        return total
-
-    budget = sum(c * t for c, t in zip(functional, lam))
-    if budget < 0:
-        return 0
-    return search(lam, budget, 0)

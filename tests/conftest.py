@@ -1,6 +1,8 @@
-"""Shared corpus builders for the property and acceptance suites."""
+"""Shared corpus builders for the property and acceptance suites, and the
+time limit every test runs under."""
 
 import random
+import signal
 from itertools import combinations
 
 import pytest
@@ -9,6 +11,28 @@ from hypothesis import strategies as st
 
 from zonotutte import VectorList, rank
 from tutte_reference import minor_gcd
+
+# seconds any one test may run, far above the slowest (about 15 s); a
+# fault that loops forever then fails its test instead of hanging the suite
+TEST_TIME_LIMIT = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT.  It is not an Exception, so neither
+    the code under test nor hypothesis catches it and tries again."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{request.node.nodeid} ran past {TEST_TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
 
 # hypothesis entries for big-integer tests: near +-10^20, or small
 NEAR_1E20 = st.one_of(

@@ -1,6 +1,6 @@
 """Test-only references for the oracle: Fourier-Motzkin facets, a
-point-by-point count, a line walk that takes every facet row on every
-line, and a Fourier-Motzkin positive-functional search.
+point-by-point count, and a line walk that takes every facet row on every
+line.
 
 reference_hrep projects the box { (t, p) : p = sum t_i (q x_i),
 0 <= t_i <= 1 } onto p by exact Fourier-Motzkin elimination of the t
@@ -19,10 +19,6 @@ it visits the lines up to their mirrors, where closed_open_counts visits
 whole slabs up to theirs, and bounds each line by one floor division per
 facet row instead of by the per-slab envelopes of the rows, so the two
 walks share only the mirror argument.
-
-reference_positive_functional decides the strict system c . a > 0 by the
-same elimination with back-substitution, sharing no minor formula with
-find_positive_functional.
 """
 
 import math
@@ -261,60 +257,3 @@ def reference_line_walk(rows, ranges):
         return 2 * closed + centre[0], 2 * opened + centre[1]
 
     return walk(0, [d for _, d in rows], True)
-
-
-def reference_positive_functional(X):
-    """A rational c with c . a > 0 for every vector a of X, or None.
-
-    The strict system is solvable iff { c : a . c >= 1 for all a } is
-    nonempty, which Fourier-Motzkin elimination decides exactly; a point
-    of it is then built by back-substitution.  The empty list returns the
-    first unit vector; any list containing a zero vector returns None.
-    """
-    n = X.dim
-    if len(X) == 0:
-        return tuple(Fraction(1 if j == 0 else 0) for j in range(n))
-    if any(not any(v) for v in X.vectors):
-        return None
-
-    rows = [(tuple(-x for x in v), -1) for v in X.vectors]
-    systems = [[] for _ in range(n)]
-    try:
-        current = _reduce_rows(rows)
-        systems[n - 1] = current
-        for k in range(n - 1, 0, -1):
-            current = _eliminate_var(current, k)
-            systems[k - 1] = current
-        # eliminating the last variable turns any contradiction into an
-        # explicit 0 <= negative row; feasibility is decided here
-        _eliminate_var(current, 0)
-    except _Infeasible:
-        return None
-
-    point = []
-    for k in range(n):
-        lower = upper = None
-        for coeffs, rhs in systems[k]:
-            ck = coeffs[k]
-            if ck == 0:
-                continue
-            bound = Fraction(rhs - sum(c * v for c, v in zip(coeffs, point)), ck)
-            if ck > 0:
-                upper = bound if upper is None else min(upper, bound)
-            else:
-                lower = bound if lower is None else max(lower, bound)
-        if lower is not None and upper is not None:
-            value = (lower + upper) / 2
-        elif lower is not None:
-            value = lower
-        elif upper is not None:
-            value = upper
-        else:
-            value = Fraction(0)
-        point.append(value)
-
-    result = tuple(point)
-    for v in X.vectors:
-        if sum(c * x for c, x in zip(result, v)) <= 0:
-            raise AssertionError("back-substitution produced an invalid functional")
-    return result

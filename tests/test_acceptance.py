@@ -8,10 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from zonotutte import (
-    UnboundedCone,
     UniPoly,
     VectorList,
     classical_tutte,
@@ -19,11 +16,9 @@ from zonotutte import (
     dilation_identity_sides,
     ehrhart_via_independent_sets,
     ehrhart_via_theorem,
-    find_positive_functional,
     interior_polynomial,
     multiplicity,
     multiplicity_tutte,
-    partition_function,
     rank,
     scalar_corollaries,
 )
@@ -166,19 +161,4 @@ def test_criterion_7_interpolation_cross_check(acceptance_corpus):
     print(
         "\ncriterion 7: PASS - degree-n interpolation of oracle counts "
         "reproduces the Ehrhart polynomial on 10 lists"
-    )
-
-
-def test_criterion_8_partition_function_sanity(acceptance_corpus):
-    admitted = 0
-    for X in acceptance_corpus:
-        if find_positive_functional(X) is not None:
-            assert partition_function(X, (0,) * X.dim) == 1, f"P(0) for {X.vectors}"
-            admitted += 1
-    assert partition_function(VectorList(1, [(1,), (2,)]), (4,)) == 3
-    with pytest.raises(UnboundedCone):
-        partition_function(VectorList(2, [(1, 0), (-1, 0)]), (1, 1))
-    print(
-        f"\ncriterion 8: PASS - P(0) = 1 on {admitted} pointed lists; "
-        "P(4) = 3 for {1,2}; unbounded cone rejected"
     )

@@ -1133,7 +1133,7 @@ class TestPackageNames:
     def test_star_import_binds_every_public_name(self):
         namespace: dict = {}
         exec("from zonotutte import *", namespace)
-        assert len(zonotutte.__all__) == 27
+        assert len(zonotutte.__all__) == 24
         for name in zonotutte.__all__:
             assert namespace[name] is getattr(zonotutte, name)
         assert set(namespace) - {"__builtins__"} == set(zonotutte.__all__)

@@ -69,6 +69,13 @@ class TestRecords:
     def test_int_matrix_checks_its_entries(self):
         M = IntMatrix.from_columns([(1, 2), (3, 4), (5, 6)], 2)
         assert (M.rows, M.cols, M.entries) == (2, 3, (1, 3, 5, 2, 4, 6))
+        # zero sizes are allowed, with no entries
+        for M, size in (
+            (IntMatrix(0, 0, ()), (0, 0)),
+            (IntMatrix(0, 3, ()), (0, 3)),
+            (IntMatrix.from_columns([], 2), (2, 0)),
+        ):
+            assert (M.rows, M.cols, M.entries) == (*size, ())
         with pytest.raises(ValueError, match="expected 4 entries, got 3"):
             IntMatrix(2, 2, (1, 2, 3))
         with pytest.raises(ValueError):

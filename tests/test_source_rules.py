@@ -87,9 +87,8 @@ def _classes_defined(name):
 def test_one_exception_class_per_exit_code():
     # every class errors.py defines, but the base, is raised in the package;
     # each except clause of cli.main that returns an EXIT_* code names one
-    # class and returns its own code, and every error class but the
-    # library-only UnboundedCone has such a clause.  The other clauses catch
-    # classes of cli's own
+    # class and returns its own code, and every error class has such a
+    # clause.  The other clauses catch classes of cli's own
     errors = _classes_defined("errors.py") - {"ZonotutteError"}
     raised = set()
     for path in SOURCES:
@@ -121,7 +120,7 @@ def test_one_exception_class_per_exit_code():
     caught = {name for name, _ in pairs}
     assert len(pairs) == len(caught) == len({code for _, code in pairs})
     assert set(caught) - errors <= _classes_defined("cli.py")
-    assert errors - caught == {"UnboundedCone"}
+    assert errors - caught == set()
 
 
 def test_no_dataclasses():
@@ -188,9 +187,9 @@ def test_the_two_ehrhart_routes_stay_apart():
 
 def test_the_oracle_takes_only_its_listed_names_from_the_kernel():
     # the oracle's facet normals and point counts share no elimination with
-    # the polynomial side: of exact_linalg it takes the list record, the
-    # rank check, span and its pivot columns, and the integer check, by a
-    # from-import or as an exact_linalg.<name> attribute
+    # the polynomial side: of exact_linalg it takes the list record and the
+    # rank check alone, by a from-import or as an exact_linalg.<name>
+    # attribute
     path = PACKAGE / "geometry_oracle.py"
     taken = _relative_imports("geometry_oracle").get("exact_linalg", set()) - {"*"}
     taken |= {
@@ -198,7 +197,7 @@ def test_the_oracle_takes_only_its_listed_names_from_the_kernel():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "exact_linalg"
     }
-    assert taken == {"VectorList", "check_full_rank", "span", "_pivots", "_check_int"}
+    assert taken == {"VectorList", "check_full_rank"}
 
 
 # defaults no call in src passes, each with the reason it stays

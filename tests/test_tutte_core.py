@@ -18,7 +18,8 @@ from zonotutte import (
     multiplicity_tutte,
     rank,
 )
-from zonotutte.exact_linalg import cyclic_key
+from zonotutte import tutte_core
+from zonotutte.exact_linalg import cyclic_key, hnf_insert
 from zonotutte.tutte_core import _lattice_tables, _walk_order
 from conftest import NEAR_1E20, random_unimodular_list, spanning_lists
 from tutte_reference import reference_lattice_sum, reference_tutte_sums
@@ -294,10 +295,17 @@ def test_one_table_matches_the_single_table_reference(X):
 # the worked list, Pi_4, and the first list in Z^4 of the tutte-small
 # benchmark pool at seed 1 (bench/workloads.py), with how many states of
 # the tables the sum keeps before its last vector are keyed by a Hermite
-# basis and how many by a cyclic (m, c) key
+# basis and how many by a cyclic (m, c) key, how many hyperplane normals
+# the walk takes and how many Hermite inserts it makes
 KEY_MIX = [
-    (WORKED, 3, 1),
-    (VectorList(3, [(1, -1, 0), (1, 0, -1), (1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 0, 1)]), 12, 1),
+    (WORKED, 3, 1, 0, 3),
+    (
+        VectorList(3, [(1, -1, 0), (1, 0, -1), (1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 0, 1)]),
+        12,
+        1,
+        4,
+        15,
+    ),
     (
         VectorList(
             4,
@@ -309,18 +317,32 @@ KEY_MIX = [
         ),
         266,
         350,
+        78,
+        473,
     ),
 ]
 
 
-@pytest.mark.parametrize("X, hermite, cyclic", KEY_MIX)
-def test_the_tables_key_every_cyclic_quotient_by_its_character(X, hermite, cyclic):
+@pytest.mark.parametrize("X, hermite, cyclic, normals, inserts", KEY_MIX)
+def test_the_tables_key_every_cyclic_quotient_by_its_character(
+    X, hermite, cyclic, normals, inserts, monkeypatch
+):
     # reports stay the same whichever key a lattice gets, so the mix is
     # pinned here: a change that stops keying some cyclic quotients by
-    # (m, c) moves these counts
-    states = _lattice_tables(X, _walk_order(X)[:-1])
+    # (m, c), or a saturated rank-(n - 1) state from its normal, moves
+    # these counts
+    calls = []
+
+    def counted(L, v):
+        calls.append(L)
+        return hnf_insert(L, v)
+
+    monkeypatch.setattr(tutte_core, "hnf_insert", counted)
+    taken = {}
+    states = _lattice_tables(X, _walk_order(X)[:-1], taken)
     keys = [isinstance(L[0], int) for L in states if L]
     assert (len(states) - sum(keys), sum(keys)) == (hermite, cyclic)
+    assert (len(taken), len(calls)) == (normals, inserts)
 
 
 @st.composite
