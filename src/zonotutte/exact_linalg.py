@@ -330,34 +330,7 @@ def character_key(m: int, c: Sequence[int]) -> CyclicKey:
     return m, tuple([u * x % m for x in c])
 
 
-def _folded_key(basis: Lattice) -> CyclicKey | None:
-    """cyclic_key's fold (see there) over the columns of m H^-1 at the
-    pivots != 1."""
-    n = len(basis)
-    big = [k for k in range(n) if basis[k][k] != 1]
-    m = math.prod(basis[k][k] for k in big)
-    c, order, size = [0] * n, 1, 1
-    for k in big:
-        # H y = m e_k by back-substitution from row k up, as in
-        # hyperplane_normal: y is 0 after k, and row i is 0 before i
-        y = [0] * n
-        y[k] = m // basis[k][k]
-        for i in range(k - 1, -1, -1):
-            y[i] = -sum(map(mul, basis[i], y)) // basis[i][i]
-        o = m // math.gcd(m, *y)
-        # a | order and b | o, coprime, with a * b = lcm(order, o)
-        a, b = order, o // math.gcd(order, o)
-        while (g := math.gcd(a, b)) != 1:
-            a, b = a // g, b * g
-        size *= basis[k][k]
-        if a * b != size:
-            return None
-        c = [(order // a * s + o // b * t) % m for s, t in zip(c, y)]
-        order = size
-    return character_key(m, c)
-
-
-def cyclic_key(basis: Lattice, folds: dict | None = None) -> CyclicKey | None:
+def cyclic_key(basis: Lattice) -> CyclicKey | None:
     """The key (m, c) of a full-rank canonical basis H (see hnf_insert)
     whose quotient Z^n / L is cyclic, or None when it is not (when the gcd
     of the (n - 1) x (n - 1) minors is not 1).
@@ -386,9 +359,9 @@ def cyclic_key(basis: Lattice, folds: dict | None = None) -> CyclicKey | None:
     b | o_k by repeated gcds.  A cyclic group has cyclic subgroups only,
     so L is cyclic exactly when the order reached equals the product of
     the pivots so far at every k, and the fold stops at the first k where
-    it does not.  folds, where given, keeps each fold's result by basis,
-    for a caller that meets one lattice many times.
+    it does not.
     """
+    n = len(basis)
     p = -1
     for i, row in enumerate(basis):
         if row[i] != 1:
@@ -396,7 +369,6 @@ def cyclic_key(basis: Lattice, folds: dict | None = None) -> CyclicKey | None:
                 break
             p = i
     else:
-        n = len(basis)
         if p < 0:
             return 1, (0,) * n
         m = basis[p][p]
@@ -404,13 +376,27 @@ def cyclic_key(basis: Lattice, folds: dict | None = None) -> CyclicKey | None:
     # the first two pivots != 1 sit at p < i (see the docstring)
     if math.gcd(basis[p][p], basis[p][i], basis[i][i]) != 1:
         return None
-    if folds is None:
-        return _folded_key(basis)
-    # a basis not folded yet maps to itself
-    key = folds.get(basis, basis)
-    if key is basis:
-        key = folds[basis] = _folded_key(basis)
-    return key
+    big = [k for k in range(n) if basis[k][k] != 1]
+    m = math.prod(basis[k][k] for k in big)
+    c, order, size = [0] * n, 1, 1
+    for k in big:
+        # H y = m e_k by back-substitution from row k up, as in
+        # hyperplane_normal: y is 0 after k, and row i is 0 before i
+        y = [0] * n
+        y[k] = m // basis[k][k]
+        for i in range(k - 1, -1, -1):
+            y[i] = -sum(map(mul, basis[i], y)) // basis[i][i]
+        o = m // math.gcd(m, *y)
+        # a | order and b | o, coprime, with a * b = lcm(order, o)
+        a, b = order, o // math.gcd(order, o)
+        while (g := math.gcd(a, b)) != 1:
+            a, b = a // g, b * g
+        size *= basis[k][k]
+        if a * b != size:
+            return None
+        c = [(order // a * s + o // b * t) % m for s, t in zip(c, y)]
+        order = size
+    return character_key(m, c)
 
 
 def cyclic_insert(key: CyclicKey, v: Sequence[int]) -> CyclicKey:

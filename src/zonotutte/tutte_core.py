@@ -28,15 +28,15 @@ and one gcd instead of a Hermite insert, the lattice it grows to is
 cyclic again, and m is read off the key.  A Hermite insert whose result
 has full rank and a cyclic quotient stores it under its (m, c) key, so
 every lattice has exactly one key.  cyclic_key rejects many other
-results at once (every full-rank lattice of qX, q >= 2, among them);
-what it has to fold, it folds once per basis and call, in a dict the
-call keeps.  A state of rank n - 1 takes its hyperplane's normal z
-(exact_linalg.hyperplane_normal) once per call, in a dict that the
-walk and the last step share; the walk skips the states whose last
-Hermite row has a common factor, which are not saturated.  When a state
-is saturated, gcd(z) = 1, it is every integer point of its hyperplane,
-so v with z . v = 0 lies in it and leaves it as it is, and any other v
-grows it to { x : z . x = 0 mod |z . v| }, keyed by
+results at once (every full-rank lattice of qX, q >= 2, among them),
+and folds the rest each time it meets them.  A state of rank n - 1
+takes its hyperplane's normal z (exact_linalg.hyperplane_normal) once
+per call, in a dict that the walk and the last step share; the walk
+skips the states whose last Hermite row has a common factor, which are
+not saturated.  When a state is saturated, gcd(z) = 1, it is every
+integer point of its hyperplane, so v with z . v = 0 lies in it and
+leaves it as it is, and any other v grows it to
+{ x : z . x = 0 mod |z . v| }, keyed by
 exact_linalg.character_key(|z . v|, z), with no Hermite insert.
 X is walked sorted by the last nonzero coordinate of each vector, zero
 vectors first: the sum does not depend on the order, and sparse lists
@@ -50,10 +50,10 @@ lattices it makes, so each state L adds its counts straight to the
 cyclic state (m, c) gives (n, gcd(c . v, m)); a full-rank Hermite state,
 with D = m(L) the product of its pivots and D v = y . L, gives
 (n, gcd(D, y)) (exact_linalg.insert_multiplicity); a state of rank n - 1
-has m(L) = gcd(z) and gives (n, |z . v|) when v leaves its span, and
-(n - 1, gcd(z)) when v lies in L.  Every other state, and the lattice a
-Hermite insert of v makes from it, go to one table, where m is computed
-once per lattice.
+has m(L) = gcd(z) and gives (n, |z . v|) when v leaves its span.  Every
+other state, a rank-(n - 1) one whose span holds v among them, and the
+lattice a Hermite insert of v makes from it, go to one table, where m is
+computed once per lattice.
 
 The counts of one lattice are packed into one integer, a field of
 |X| + 1 bits per size s; the sublists of size s number
@@ -125,7 +125,7 @@ def _walk_order(X: VectorList) -> list[tuple[int, ...]]:
 
 
 def _lattice_tables(
-    X: VectorList, vectors: Sequence[tuple[int, ...]], normals: dict | None = None
+    X: VectorList, vectors: Sequence[tuple[int, ...]], normals: dict
 ) -> dict[Lattice | CyclicKey, int]:
     """The states of the sum after walking vectors, a sequence drawn from
     X: every lattice spanned by a sublist of them, with its packed counts,
@@ -134,10 +134,6 @@ def _lattice_tables(
     for the last step to read."""
     n = X.dim
     hyper = n - 1
-    if normals is None:
-        normals = {}
-    # the fold of each full-rank Hermite basis met, for this call only
-    folds: dict[Lattice, CyclicKey | None] = {}
     # states[L] holds, for each size s, the number of sublists of size s
     # spanning L, packed into bits [s*width, (s+1)*width) of one integer.
     # A count is at most C(|X|, s) < 2^width, so fields never carry into
@@ -162,7 +158,7 @@ def _lattice_tables(
             ) == 1:
                 grown = character_key(abs(w), z) if (w := sum(map(mul, z, v))) else L
             elif (grown := hnf_insert(L, v)) is not L and len(grown) == n:
-                grown = cyclic_key(grown, folds) or grown
+                grown = cyclic_key(grown) or grown
             states[grown] = states.get(grown, 0) + (packed << width)
     return states
 
@@ -181,9 +177,10 @@ def _last_step_groups(
     # no field: the group's field for size s counts at most C(|X|, s)
     # sublists, as one lattice's does
     groups: dict[tuple[int, int], int] = {}
-    # (rank, m) of L + Zv is read off L's key, and off its basis at ranks n
-    # and n - 1; every other state, and a lattice v grows it to, go to
-    # rest, so m is computed once per lattice there
+    # (rank, m) of L + Zv is read off L's key, off its basis at rank n, and
+    # at rank n - 1 off its normal z when v leaves its span; every other
+    # state, and a lattice v grows it to, go to rest, so m is computed once
+    # per lattice there
     rest: dict[Lattice, int] = {}
     for L, packed in states.items():
         if L and type(L[0]) is int:
@@ -192,18 +189,11 @@ def _last_step_groups(
         elif (r := len(L)) == n:
             m = lattice_multiplicity(L)
             grown = (n, insert_multiplicity(L, m, v))
-        elif r + 1 == n:
-            z = normals.get(L) or hyperplane_normal(L, n)
+        elif r + 1 == n and (
+            w := sum(map(mul, (z := normals.get(L) or hyperplane_normal(L, n)), v))
+        ):
             m = gcd(*z)
-            if w := sum(map(mul, z, v)):
-                grown = (n, abs(w))
-            elif (grown := hnf_insert(L, v)) is L:
-                grown = (r, m)
-            else:
-                # v lies in the span of L but not in L
-                rest[grown] = rest.get(grown, 0) + (packed << width)
-                groups[r, m] = groups.get((r, m), 0) + packed
-                continue
+            grown = (n, abs(w))
         else:
             rest[L] = rest.get(L, 0) + packed
             grown = hnf_insert(L, v)

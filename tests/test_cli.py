@@ -684,6 +684,12 @@ class TestVerifyFailurePath:
         assert (code, err) == (1, "")
         failing = [c["identity"] for c in json.loads(out)["checks"] if not c["pass"]]
         assert caught_by in failing
+        if rank_below_n:
+            # the dilation rows' blind spot (CHANGES.md, the FOUND entry on
+            # a factor that depends only on rank; ROADMAP item 8): 2z
+            # doubles m at rank n - 1 in M_X and M_2X alike, so both sides
+            # of the identity carry it and its row passes
+            assert "dilation_identity_q2" not in failing
 
     @pytest.mark.parametrize("target, make_fault, plain, oracle", VERIFY_FAULTS)
     def test_fault_matrix(self, capsys, monkeypatch, target, make_fault, plain, oracle):

@@ -261,6 +261,22 @@ class TestLastStep:
         assert _walk_order(Y)[-1] == u
         self.check(Y)
 
+    @pytest.mark.parametrize(
+        "vectors, terms",
+        [
+            # the state (0, 2) has rank n - 1 and the last vector (0, 1) lies
+            # in its span but not in it
+            ([(1, 0), (0, 2), (0, 1)], {(2, 0): 1, (1, 1): 1, (1, 0): 1}),
+            # the state (0, 1) has rank n - 1 and the last vector lies in it
+            ([(1, 0), (0, 1), (0, 1)], {(2, 0): 1, (1, 1): 1}),
+        ],
+    )
+    def test_rank_n_minus_1_state_whose_span_holds_the_last_vector(self, vectors, terms):
+        X = VectorList(2, vectors)
+        assert _walk_order(X)[-1] == (0, 1)
+        self.check(X)
+        assert multiplicity_tutte(X).polynomial == BiPoly(terms)
+
 
 @st.composite
 def long_lists(draw):
@@ -285,7 +301,7 @@ def test_one_table_matches_the_single_table_reference(X):
             shifted, unimodular, count = reference_lattice_sum(Y, weighted)
             assert result.shifted_terms == shifted
             assert result.is_unimodular == unimodular
-        states = _lattice_tables(Y, _walk_order(Y))
+        states = _lattice_tables(Y, _walk_order(Y), {})
         assert len(states) == count
         for L in states:
             if L and not isinstance(L[0], int) and len(L) == Y.dim:
